@@ -74,6 +74,9 @@ int main() {
 
   core::WktParser parser;
   auto runOnce = [&](pfs::Volume& volume, core::PartitionScheme scheme, bool rebalance) {
+    // Every row starts on an idle storage model: without the reset a row
+    // queues behind the OST intervals of the rows before it.
+    bench::resetModel(volume);
     Outcome out;
     std::mutex mu;
     mpi::Runtime::run(kProcs, sim::MachineModel::comet(kProcs / 2), [&](mpi::Comm& comm) {

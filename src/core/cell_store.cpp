@@ -8,22 +8,17 @@
 
 namespace mvio::core {
 
-namespace {
-
-std::uint64_t shardKey(std::size_t seg, std::size_t idx) {
-  return (static_cast<std::uint64_t>(seg) << 32) | static_cast<std::uint64_t>(idx);
-}
-
-}  // namespace
-
 CellStore::CellStore(pfs::SpillStore* store, std::string base, std::uint64_t memoryBudget,
-                     std::uint64_t shardBytes, SpillChargeFn charge)
+                     SpillChargeFn charge)
     : store_(store),
       base_(std::move(base)),
       budget_(memoryBudget),
-      shardBytes_(shardBytes),
-      charge_(std::move(charge)) {
-  if (streaming() && shardBytes_ == 0) shardBytes_ = std::max<std::uint64_t>(budget_ / 4, 1);
+      charge_(std::move(charge)) {}
+
+CellStore::CellStore(pfs::SpillStore* store, std::string base, std::uint64_t memoryBudget,
+                     std::uint64_t shardBytes, SpillChargeFn charge)
+    : CellStore(store, std::move(base), memoryBudget, std::move(charge)) {
+  MVIO_CHECK(shardBytes == 0, "CellStore: the shard-size bound is internal (pass 0)");
 }
 
 void CellStore::add(geom::GeometryBatch&& roundBatch) {
@@ -41,7 +36,7 @@ void CellStore::finalize() {
   finalized_ = true;
   // Streaming: the accumulated tail stays resident when it fits its half
   // of the budget (it is served through the same per-cell index as the
-  // resident regime and counts against the merge window's bound);
+  // resident regime and counts against the refine memory bound);
   // otherwise it joins the cell-sorted shard segments. A run whose owned
   // set never outgrew the budget therefore spills nothing at all.
   if (streaming() && resident_.memoryBytes() > budget_ / 2) {
@@ -79,12 +74,9 @@ void CellStore::flushSegment(const geom::GeometryBatch& b) {
     blob.reserve(static_cast<std::size_t>(curBytes));
     geom::encodeShard(cur, blob);
     ref.name = base_ + ".shard" + std::to_string(shardSeq_++);
-    ref.firstCell = ref.runs.front().cell;
-    ref.lastCell = ref.runs.back().cell;
-    ref.encodedBytes = blob.size();
     charge_(blob.size(), /*isWrite=*/true);
     if (obs::tracingOn()) {
-      obs::traceInstant("store.spill", ref.name + " (" + std::to_string(ref.encodedBytes) + " bytes)");
+      obs::traceInstant("store.spill", ref.name + " (" + std::to_string(blob.size()) + " bytes)");
     }
     store_->put(ref.name, std::move(blob));
     segment.push_back(std::move(ref));
@@ -93,14 +85,17 @@ void CellStore::flushSegment(const geom::GeometryBatch& b) {
     curBytes = geom::kShardHeaderBytes;
   };
 
+  // One shard per cell run, so the refine fetches each shard exactly
+  // once; only a run past budget/4 encoded bytes splits further.
+  const std::uint64_t splitBytes = std::max<std::uint64_t>(budget_ / 4, 1);
   for (const std::uint32_t i : order) {
     const int cell = b.cell(i);
     MVIO_CHECK(cell != geom::GeometryBatch::kNoCell, "CellStore: untagged record in owned set");
     const std::uint64_t rec = geom::shardRecordBytes(b, i);
-    if (!cur.empty() && curBytes + rec > shardBytes_) closeShard();
+    if (!cur.empty() && (cell != ref.cell || curBytes + rec > splitBytes)) closeShard();
+    ref.cell = cell;
+    ref.records += 1;
     cur.appendRecordFrom(b, i, cell);
-    if (ref.runs.empty() || ref.runs.back().cell != cell) ref.runs.push_back({cell, 0, false});
-    ref.runs.back().records += 1;
     curBytes += rec;
   }
   closeShard();
@@ -115,11 +110,7 @@ std::vector<int> CellStore::cells() const {
   for (const auto& [cell, ids] : cellIndex_) out.push_back(cell);
   if (segments_.empty()) return out;  // map iteration is already ascending
   for (const auto& segment : segments_) {
-    for (const ShardRef& shard : segment) {
-      for (const ShardRun& run : shard.runs) {
-        if (!run.dead) out.push_back(run.cell);
-      }
-    }
+    for (const ShardRef& shard : segment) out.push_back(shard.cell);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -132,108 +123,44 @@ void CellStore::accumulateCellLoads(std::vector<std::uint64_t>& loads) const {
   }
   for (const auto& segment : segments_) {
     for (const ShardRef& shard : segment) {
-      for (const ShardRun& run : shard.runs) {
-        if (!run.dead) loads[static_cast<std::size_t>(run.cell)] += run.records;
-      }
+      loads[static_cast<std::size_t>(shard.cell)] += shard.records;
     }
   }
 }
 
 std::uint64_t CellStore::trackedBytes() const {
   if (!streaming()) return resident_.memoryBytes();
-  // Merge window + current cell + the resident tail segment.
-  return loadedBytes_ + scratch_.memoryBytes() + resident_.memoryBytes();
-}
-
-void CellStore::notePeak() { peakBytes_ = std::max(peakBytes_, trackedBytes()); }
-
-geom::GeometryBatch& CellStore::loadShard(std::size_t seg, std::size_t idx, int currentCell) {
-  const std::uint64_t key = shardKey(seg, idx);
-  auto it = loaded_.find(key);
-  if (it == loaded_.end()) {
-    const ShardRef& ref = segments_[seg][idx];
-    evictShards(currentCell, ref.encodedBytes);
-    const std::string blob = store_->fetch(ref.name);
-    charge_(blob.size(), /*isWrite=*/false);
-    if (obs::tracingOn()) {
-      obs::traceInstant("store.reload", ref.name + " (" + std::to_string(blob.size()) + " bytes)");
-    }
-    reloadBytes_ += blob.size();
-    LoadedShard loadedShard;
-    geom::decodeShard(blob, loadedShard.batch);
-    loadedShard.bytes = loadedShard.batch.memoryBytes();
-    loadedBytes_ += loadedShard.bytes;
-    it = loaded_.emplace(key, std::move(loadedShard)).first;
-  }
-  it->second.lastUse = ++useClock_;
-  notePeak();
-  return it->second.batch;
-}
-
-void CellStore::evictShards(int currentCell, std::uint64_t incomingBytes) {
-  // Drop shards the ascending iteration has passed, then least-recently
-  // used ones until the incoming load fits the budget (a single oversized
-  // shard is the allowed slack — it must be resident to be read at all).
-  for (auto it = loaded_.begin(); it != loaded_.end();) {
-    const std::size_t seg = static_cast<std::size_t>(it->first >> 32);
-    const std::size_t idx = static_cast<std::size_t>(it->first & 0xffffffffu);
-    if (segments_[seg][idx].lastCell < currentCell) {
-      loadedBytes_ -= it->second.bytes;
-      it = loaded_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  while (!loaded_.empty() &&
-         loadedBytes_ + scratch_.memoryBytes() + resident_.memoryBytes() + externalBytes_ +
-                 incomingBytes >
-             budget_) {
-    auto lru = loaded_.begin();
-    for (auto it = loaded_.begin(); it != loaded_.end(); ++it) {
-      if (it->second.lastUse < lru->second.lastUse) lru = it;
-    }
-    loadedBytes_ -= lru->second.bytes;
-    if (obs::tracingOn()) {
-      obs::traceInstant("store.evict", std::to_string(lru->second.bytes) + " bytes");
-    }
-    loaded_.erase(lru);
-  }
+  // Current cell + the resident tail segment.
+  return scratch_.memoryBytes() + resident_.memoryBytes();
 }
 
 void CellStore::assembleCell(int cell, geom::GeometryBatch& out, bool extract) {
   // Spilled segments first (flush order), the resident tail last — the
   // concatenation is the cell's arrival order.
-  for (std::size_t seg = 0; seg < segments_.size(); ++seg) {
-    std::vector<ShardRef>& segment = segments_[seg];
-    // Shards of a segment are cell-ordered; binary-search the first one
-    // whose range can still contain `cell`.
-    auto first = std::lower_bound(segment.begin(), segment.end(), cell,
-                                  [](const ShardRef& s, int c) { return s.lastCell < c; });
-    for (auto it = first; it != segment.end() && it->firstCell <= cell; ++it) {
-      std::size_t offset = 0;
-      for (ShardRun& run : it->runs) {
-        if (run.cell == cell) {
-          if (!run.dead) {
-            const geom::GeometryBatch& b =
-                loadShard(seg, static_cast<std::size_t>(it - segment.begin()), cell);
-            for (std::size_t k = 0; k < run.records; ++k) {
-              out.appendRecordFrom(b, offset + k, cell);
-            }
-            notePeak();
-            if (extract) run.dead = true;
-          }
-          break;  // at most one run per cell per shard
-        }
-        offset += run.records;
+  for (std::vector<ShardRef>& segment : segments_) {
+    // A segment's shards are cell-ordered and a cell's shards adjacent.
+    const auto first = std::lower_bound(segment.begin(), segment.end(), cell,
+                                        [](const ShardRef& s, int c) { return s.cell < c; });
+    auto last = first;
+    for (; last != segment.end() && last->cell == cell; ++last) {
+      const std::string blob = store_->fetch(last->name);
+      charge_(blob.size(), /*isWrite=*/false);
+      if (obs::tracingOn()) {
+        obs::traceInstant("store.reload",
+                          last->name + " (" + std::to_string(blob.size()) + " bytes)");
       }
+      reloadBytes_ += blob.size();
+      geom::decodeShard(blob, out);
+      if (extract) store_->remove(last->name);
     }
+    if (extract) segment.erase(first, last);
   }
   const auto tail = cellIndex_.find(cell);
   if (tail != cellIndex_.end()) {
     for (const std::uint32_t i : tail->second) out.appendRecordFrom(resident_, i, cell);
     if (extract) cellIndex_.erase(tail);
-    notePeak();
   }
+  peakBytes_ = std::max(peakBytes_, out.memoryBytes() + resident_.memoryBytes());
 }
 
 geom::BatchSpan CellStore::cellSpan(int cell) {
@@ -264,11 +191,6 @@ geom::GeometryBatch CellStore::takeCellBatch() {
 geom::GeometryBatch CellStore::takeCellAssembled(int cell) {
   MVIO_CHECK(finalized_, "CellStore: takeCellAssembled before finalize");
   MVIO_CHECK(streaming(), "CellStore: takeCellAssembled is a streaming-regime call");
-  // Eviction is otherwise lazy (it runs when a shard load needs room); the
-  // group loader's pressure must take effect even when this cell assembles
-  // entirely from already-loaded shards, so shed passed/over-budget shards
-  // up front.
-  evictShards(cell, 0);
   geom::GeometryBatch out;
   assembleCell(cell, out, /*extract=*/false);
   return out;
@@ -325,8 +247,6 @@ void CellStore::releaseBlobs() {
     for (const ShardRef& shard : segment) store_->remove(shard.name);
   }
   segments_.clear();
-  loaded_.clear();
-  loadedBytes_ = 0;
 }
 
 }  // namespace mvio::core

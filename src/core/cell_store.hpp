@@ -18,27 +18,27 @@
 //  * Streaming (budget set): whenever the accumulating segment exceeds
 //    the budget — and at finalize(), unless the tail fits half the
 //    budget and simply stays resident — the segment's records are
-//    stably sorted by cell id and written out as a run of BatchShards of
-//    bounded encoded size (a cell larger than the bound spans shards).
-//    Only a small directory (per shard: cell runs and record counts)
-//    stays in memory. cellSpan() then performs an external merge: for the
-//    requested cell it loads exactly the shards whose cell range covers
-//    it, copies that cell's records (and the tail's) into a scratch
-//    batch, and evicts loaded shards once the ascending iteration passes
-//    them (or earlier under budget pressure) — peak refine memory is the
-//    merge window plus one cell, not the owned-batch size.
+//    stably sorted by cell id and written out as one BatchShard per
+//    cell run (a run larger than budget/4 encoded bytes splits into
+//    several shards). Only a small directory (per shard: cell and record
+//    count) stays in memory. cellSpan() then fetches exactly the shards
+//    of the requested cell — every one is wholly that cell's — and
+//    decodes them straight into a scratch batch, segments in flush
+//    order and then the tail, so each spilled byte is fetched, verified
+//    and decoded once per pass. Peak refine memory is one cell plus the
+//    resident tail, not the owned-batch size.
 //
 // extractCell() removes a cell's records (the shard-migration path uses
-// it to ship leaving cells), and addMigrated() appends records received
-// from peers as one more cell-sorted segment. The store tracks its spill
-// traffic and its peak resident bytes so FrameworkStats can report — and
-// tests can assert — the refine-phase memory bound.
+// it to ship leaving cells; the cell's blobs leave the SpillStore at
+// once), and addMigrated() appends records received from peers as one
+// more cell-sorted segment. The store tracks its spill traffic and its
+// peak resident bytes so FrameworkStats can report — and tests can
+// assert — the refine-phase memory bound.
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/geometry_batch.hpp"
@@ -52,9 +52,11 @@ using SpillChargeFn = std::function<void(std::uint64_t, bool)>;
 
 class CellStore {
  public:
-  /// `memoryBudget` 0 = resident regime. In the streaming regime segments
-  /// are split into shards of at most `shardBytes` encoded bytes
-  /// (0 = budget/4) so the merge window loads small pieces.
+  /// `memoryBudget` 0 = resident regime.
+  CellStore(pfs::SpillStore* store, std::string base, std::uint64_t memoryBudget,
+            SpillChargeFn charge);
+  /// Source-compatible form of the constructor above for existing
+  /// callers; `shardBytes` must be 0 (the run-split bound is internal).
   CellStore(pfs::SpillStore* store, std::string base, std::uint64_t memoryBudget,
             std::uint64_t shardBytes, SpillChargeFn charge);
 
@@ -72,20 +74,18 @@ class CellStore {
   /// loads[cell] += record count, for every cell present (skew measurement;
   /// `loads` must span the grid).
   void accumulateCellLoads(std::vector<std::uint64_t>& loads) const;
-  /// Bytes currently resident for refine service: merge window + scratch
+  /// Bytes currently resident for refine service: scratch cell + tail
   /// (streaming) or the owned batch (resident).
   [[nodiscard]] std::uint64_t trackedBytes() const;
   [[nodiscard]] std::uint64_t peakBytes() const { return peakBytes_; }
-  /// Shard bytes reloaded by cellSpan/extractCell (refine-side traffic).
+  /// Shard bytes reloaded by cellSpan/takeCellAssembled/extractCell.
   [[nodiscard]] std::uint64_t reloadBytes() const { return reloadBytes_; }
 
   // ---- Cell-major access (after finalize) ------------------------------
   /// The records of `cell` as a span. Resident: a view into the owned
-  /// batch. Streaming: assembled into an internal scratch batch via the
-  /// external merge; the span is valid until the next cellSpan /
-  /// extractCell / takeCellBatch call. Intended to be called with
-  /// ascending cells (any order is correct; ascending keeps the merge
-  /// window warm).
+  /// batch. Streaming: the cell's shards decoded into an internal scratch
+  /// batch; the span is valid until the next cellSpan / extractCell /
+  /// takeCellBatch call. Any cell order is correct.
   geom::BatchSpan cellSpan(int cell);
   /// Streaming regime: hand over the scratch batch assembled by the last
   /// cellSpan() (the per-cell adoption unit).
@@ -96,14 +96,10 @@ class CellStore {
   /// stage a bounded group of cells that pool workers then refine while
   /// the store (which is not thread-safe) stays untouched (DESIGN.md §10).
   [[nodiscard]] geom::GeometryBatch takeCellAssembled(int cell);
-  /// Bytes the caller holds resident outside the store (the parallel
-  /// group loader's staged cell batches). Counted like the scratch batch
-  /// in the merge-window eviction budget, so the window shrinks as the
-  /// group grows and window + group stays within the memory bound.
-  void setRefinePressure(std::uint64_t bytes) { externalBytes_ = bytes; }
   /// Remove `cell` from the store and return its records (migration).
   /// Resident: the records are tombstoned with kNoCell in the owned batch
   /// so a later takeResidentBatch() cannot leak them to the task.
+  /// Streaming: the cell's shard blobs are removed from the SpillStore.
   [[nodiscard]] geom::GeometryBatch extractCell(int cell);
   /// Append records received from peers (cell tags intact). Streaming:
   /// flushed immediately as one more cell-sorted segment.
@@ -115,40 +111,23 @@ class CellStore {
   void releaseBlobs();
 
  private:
-  /// One maximal run of same-cell records inside a shard.
-  struct ShardRun {
-    int cell = 0;
-    std::uint32_t records = 0;
-    bool dead = false;  ///< extracted (migrated away); skip on reload
-  };
-  /// Directory entry for one spilled shard (cell-sorted records).
+  /// Directory entry for one spilled shard: records of a single cell.
   struct ShardRef {
     std::string name;
-    int firstCell = 0;
-    int lastCell = 0;
-    std::uint64_t encodedBytes = 0;
-    std::vector<ShardRun> runs;
-  };
-  struct LoadedShard {
-    geom::GeometryBatch batch;
-    std::uint64_t bytes = 0;    ///< batch.memoryBytes() at load
-    std::uint64_t lastUse = 0;  ///< eviction clock
+    int cell = 0;
+    std::uint32_t records = 0;
   };
 
   /// Sort `b`'s records by cell and write them out as one segment of
-  /// bounded-size shards (directory kept in memory).
+  /// per-cell-run shards (directory kept in memory).
   void flushSegment(const geom::GeometryBatch& b);
-  /// Copy `cell`'s records from every covering shard into `out`; marks the
-  /// runs dead when `extract`.
+  /// Decode `cell`'s shards, then its tail records, into `out`; removes
+  /// the shards (directory and blobs) when `extract`.
   void assembleCell(int cell, geom::GeometryBatch& out, bool extract);
-  geom::GeometryBatch& loadShard(std::size_t seg, std::size_t idx, int currentCell);
-  void evictShards(int currentCell, std::uint64_t incomingBytes);
-  void notePeak();
 
   pfs::SpillStore* store_;
   std::string base_;
   std::uint64_t budget_;
-  std::uint64_t shardBytes_;
   SpillChargeFn charge_;
 
   bool finalized_ = false;
@@ -162,12 +141,8 @@ class CellStore {
   geom::GeometryBatch resident_;
   std::map<int, std::vector<std::uint32_t>> cellIndex_;
 
-  // Streaming state.
+  // Streaming state: per segment, its shards in ascending cell order.
   std::vector<std::vector<ShardRef>> segments_;
-  std::unordered_map<std::uint64_t, LoadedShard> loaded_;  ///< key: seg<<32|idx
-  std::uint64_t loadedBytes_ = 0;
-  std::uint64_t externalBytes_ = 0;  ///< caller-held bytes (setRefinePressure)
-  std::uint64_t useClock_ = 0;
   geom::GeometryBatch scratch_;
   std::vector<std::uint32_t> scratchIdx_;
   std::size_t shardSeq_ = 0;  ///< unique shard-name counter

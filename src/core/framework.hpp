@@ -20,8 +20,9 @@
 // owned CellStore (core/cell_store.hpp). Whenever a stage's working set
 // exceeds StreamConfig::memoryBudget, pending batches are spilled to a
 // pfs::SpillStore as BatchShards — the owned set as *cell-sorted*
-// segments — and the refine phase streams cell by cell through a bounded
-// external-merge window instead of reassembling the owned batch. The
+// segments of one shard per cell run — and the refine phase streams cell
+// by cell, fetching each cell's shards once and holding one cell plus the
+// resident tail, instead of reassembling the owned batch. The
 // default StreamConfig — one round, unlimited budget — is exactly the
 // classic one-shot pass with a fully resident refine.
 //
@@ -348,10 +349,10 @@ struct FrameworkStats {
   /// recovery ran — ownership is then roundRobinOwner, which consumers
   /// with per-owned-cell output (the overlay writer) fall back to.
   std::vector<int> cellOwner;
-  /// Peak bytes resident in the refine phase's serving structures (merge
-  /// window + tail + current cell in the streaming regime, summed over
-  /// both layer stores — two-layer runs split the budget between them;
-  /// the owned batch in the resident regime). Streaming runs keep this
+  /// Peak bytes resident in the refine phase's serving structures (tail +
+  /// current cell in the streaming regime, summed over both layer stores
+  /// — two-layer runs split the budget between them; the owned batch in
+  /// the resident regime). Streaming runs keep this
   /// within StreamConfig::memoryBudget, plus the one-resident-cell slack:
   /// a cell must be resident in full to be refined, so a single cell
   /// larger than its store's budget share exceeds the bound by exactly

@@ -48,7 +48,7 @@ struct PhaseBreakdown {
   double workerCpu = 0;
   double workerCritical = 0;
   std::uint64_t rounds = 0;  ///< exchange rounds executed (1 per layer one-shot)
-  /// Shard bytes reloaded by the cell-major refine merge (the refine
+  /// Shard bytes reloaded by the cell-major refine (the refine
   /// phase's share of the scratch traffic; writes land in
   /// FrameworkStats::spill with the rest of the spill volume).
   std::uint64_t refineSpillBytes = 0;

@@ -13,7 +13,9 @@
 #include <array>
 #include <atomic>
 #include <mutex>
+#include <numeric>
 
+#include "core/cell_store.hpp"
 #include "core/indexing.hpp"
 #include "core/overlay.hpp"
 #include "core/spatial_join.hpp"
@@ -245,6 +247,85 @@ TEST(SpillStore, BlobsSurviveAcrossStoreInstances) {
   EXPECT_EQ(reader.fetch("shard.0"), "hello shards");
 }
 
+// ---- CellStore streaming regime --------------------------------------------
+
+TEST(CellStore, ManySegmentsReadEachShardOnce) {
+  // Segments far outnumber budget / shard size (about 30 flushes against
+  // the four budget/4 shards a budget holds), and every segment spans all
+  // cells. The store must still fetch each spilled shard exactly once,
+  // hold at most one cell plus the resident tail, serve the resident
+  // regime's per-cell record sequence, and drop an extracted cell's
+  // blobs for good.
+  constexpr int kCells = 10;
+  constexpr std::uint64_t kBudget = 4 << 10;
+  std::vector<mg::GeometryBatch> rounds(60);
+  for (int i = 0; i < 600; ++i) {
+    std::string wkt = "LINESTRING (";
+    for (int k = 0; k <= i % 5 + 1; ++k) {
+      wkt += (k == 0 ? "" : ", ") + std::to_string(i + k) + " " + std::to_string(k * 3 - i % 7);
+    }
+    mg::Geometry g = mg::readWkt(wkt + ")");
+    g.userData = "rec-" + std::to_string(i);
+    rounds[static_cast<std::size_t>(i / 10)].append(g, (i * 7 + i / 13) % kCells);
+  }
+
+  auto volume = lustreVolume(2);
+  mp::SpillStore spill(*volume, "__cs");  // the resident store never spills
+  const mc::SpillChargeFn noCharge = [](std::uint64_t, bool) {};
+  mc::CellStore resident(&spill, "res", 0, noCharge);
+  mc::CellStore streamed(&spill, "own", kBudget, noCharge);
+  for (const mg::GeometryBatch& round : rounds) {
+    mg::GeometryBatch copy;
+    copy.splice(round);
+    resident.add(std::move(copy));
+    mg::GeometryBatch again;
+    again.splice(round);
+    streamed.add(std::move(again));
+  }
+  resident.finalize();
+  streamed.finalize();
+  ASSERT_TRUE(streamed.streaming());
+  ASSERT_GT(spill.stats().bytesWritten, 20 * kBudget) << "the input must spill many segments";
+  ASSERT_EQ(streamed.cells(), resident.cells());
+  const std::uint64_t tailBytes = streamed.trackedBytes();
+
+  const auto expectSameSequence = [](const mg::BatchSpan& got, const mg::BatchSpan& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      expectRecordsEqual(got.batch(), got.recordIndex(k), want.batch(), want.recordIndex(k));
+    }
+  };
+
+  // Extraction removes the cell's blobs from the SpillStore at once.
+  constexpr int kExtracted = 3;
+  const std::uint64_t heldBefore = spill.stats().bytesHeld;
+  mg::GeometryBatch extracted = streamed.extractCell(kExtracted);
+  const std::uint64_t extractedBytes = streamed.reloadBytes();
+  EXPECT_GT(extractedBytes, 0u);
+  EXPECT_EQ(spill.stats().bytesHeld, heldBefore - extractedBytes);
+  std::vector<std::uint32_t> all(extracted.size());
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  expectSameSequence(mg::BatchSpan(&extracted, all.data(), all.size()),
+                     resident.cellSpan(kExtracted));
+  std::uint64_t largestCell = extracted.memoryBytes();
+
+  for (const int cell : resident.cells()) {
+    const mg::BatchSpan span = streamed.cellSpan(cell);
+    if (cell == kExtracted) {
+      EXPECT_TRUE(span.empty()) << "an extracted cell must not be served again";
+      continue;
+    }
+    expectSameSequence(span, resident.cellSpan(cell));
+    largestCell = std::max(largestCell, streamed.takeCellBatch().memoryBytes());
+  }
+  EXPECT_EQ(streamed.reloadBytes(), spill.stats().bytesWritten)
+      << "every spilled shard must be fetched exactly once";
+  EXPECT_EQ(spill.stats().blobsRead, spill.stats().blobsWritten);
+  EXPECT_LE(streamed.peakBytes(), largestCell + tailBytes);
+  streamed.releaseBlobs();
+  EXPECT_EQ(spill.stats().bytesHeld, 0u);
+}
+
 // ---- Batch-native WKB join key -------------------------------------------
 
 TEST(SpatialJoin, BatchNativeKeyMatchesMaterializedKey) {
@@ -417,9 +498,8 @@ TEST(StreamingPipeline, SpillStatsReportBytes) {
     const auto fw = mc::runFilterRefine(comm, *fx.volume, r, &s, cfg.framework, task);
     bytesSpilled += fw.spill.bytesWritten;
     heldAfter += fw.spill.bytesHeld;
-    EXPECT_GE(fw.spill.bytesRead, fw.spill.bytesWritten)
-        << "every spilled shard must be reloaded at least once (the cell-major merge may "
-           "reload a shard whose cell range was evicted under budget pressure)";
+    EXPECT_EQ(fw.spill.bytesRead, fw.spill.bytesWritten)
+        << "every spilled shard must be reloaded exactly once";
     EXPECT_GT(fw.phases.refineSpillBytes, 0u) << "cell-major refine must stream from shards";
   });
   EXPECT_GT(bytesSpilled.load(), 0u);
@@ -428,7 +508,7 @@ TEST(StreamingPipeline, SpillStatsReportBytes) {
 
 TEST(StreamingPipeline, RefinePeakStaysWithinBudget) {
   // The headline bound of the cell-major refine: with a budget far below
-  // the owned set, the refine phase's serving structures (merge window +
+  // the owned set, the refine phase's serving structures (resident tail +
   // current cell) never exceed StreamConfig::memoryBudget, spill is
   // non-zero, and results still match the resident-refine run.
   TwoLayerFixture fx;
