@@ -95,7 +95,7 @@ int main() {
       volume->createOrReplace("lakes.wkt",
                               osm::makeVirtualWktFile(pool, pipeBytes, 1ull << 20, 3, 96),
                               {pipeBlock, 32});
-      core::WktParser parser;
+      const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
       core::PhaseBreakdown maxPhases;
       double makespan = 0;
       mpi::Runtime::run(kPipeProcs, sim::MachineModel::comet(nodes), [&](mpi::Comm& comm) {
@@ -104,7 +104,7 @@ int main() {
         icfg.framework.stream.chunkBytes = pipeBlock;
         icfg.framework.threadsPerRank = m.threads;
         icfg.framework.stream.overlapRounds = m.overlap;
-        core::DatasetHandle data{"lakes.wkt", &parser, {}};
+        core::DatasetHandle data{"lakes.wkt", wkt};
         core::IndexingStats stats;
         core::buildDistributedIndex(comm, *volume, data, icfg, &stats);
         const auto reduced = stats.phases.maxAcross(comm);

@@ -40,7 +40,7 @@ int main() {
       "cemetery.wkt", std::make_shared<pfs::MemoryBackingStore>(
                           osm::generateWktText(osm::RecordGenerator(cemetery), 6000)));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   util::TextTable table({"cells", "partition", "comm", "join", "total", "pairs"});
   for (const int cells : {64, 256, 1024, 4096}) {
     bench::resetModel(*volume);
@@ -49,8 +49,8 @@ int main() {
     mpi::Runtime::run(kProcs, sim::MachineModel::roger(kProcs / 20), [&](mpi::Comm& comm) {
       core::JoinConfig cfg;
       cfg.framework.gridCells = cells;
-      core::DatasetHandle r{"lakes.wkt", &parser, {}};
-      core::DatasetHandle s{"cemetery.wkt", &parser, {}};
+      core::DatasetHandle r{"lakes.wkt", wkt};
+      core::DatasetHandle s{"cemetery.wkt", wkt};
       const auto stats = core::spatialJoin(comm, *volume, r, s, cfg);
       const auto reduced = stats.phases.maxAcross(comm);
       if (comm.rank() == 0) {

@@ -36,7 +36,7 @@ int main() {
       "cemetery.wkt", std::make_shared<pfs::MemoryBackingStore>(
                           osm::generateWktText(osm::RecordGenerator(cemetery), 2000)));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   util::TextTable table({"procs", "read+parse", "partition", "comm", "join", "total", "pairs"});
   for (const int procs : {20, 40, 80, 160}) {
     bench::resetModel(*volume);
@@ -45,8 +45,8 @@ int main() {
     mpi::Runtime::run(procs, sim::MachineModel::roger(std::max(procs / 20, 1)), [&](mpi::Comm& comm) {
       core::JoinConfig cfg;
       cfg.framework.gridCells = 1024;
-      core::DatasetHandle r{"roads.wkt", &parser, {}};
-      core::DatasetHandle s{"cemetery.wkt", &parser, {}};
+      core::DatasetHandle r{"roads.wkt", wkt};
+      core::DatasetHandle s{"cemetery.wkt", wkt};
       const auto stats = core::spatialJoin(comm, *volume, r, s, cfg);
       const auto reduced = stats.phases.maxAcross(comm);
       if (comm.rank() == 0) {

@@ -24,7 +24,7 @@ int main() {
       "road_network.wkt", std::make_shared<pfs::MemoryBackingStore>(
                               osm::generateWktText(osm::RecordGenerator(spec), kRecords)));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   util::TextTable table({"procs", "read+parse", "partition", "comm", "index", "total", "indexed"});
   for (const int procs : {80, 160, 240, 320}) {
     bench::resetModel(*volume);
@@ -33,7 +33,7 @@ int main() {
     mpi::Runtime::run(procs, sim::MachineModel::roger(procs / 20), [&](mpi::Comm& comm) {
       core::IndexingConfig cfg;
       cfg.framework.gridCells = 2048;
-      core::DatasetHandle data{"road_network.wkt", &parser, {}};
+      core::DatasetHandle data{"road_network.wkt", wkt};
       core::IndexingStats stats;
       (void)core::buildDistributedIndex(comm, *volume, data, cfg, &stats);
       const auto reduced = stats.phases.maxAcross(comm);

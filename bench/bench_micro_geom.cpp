@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the geometry-engine hot paths that
-// dominate the pipeline's compute phases — WKT parsing (per-Geometry vs
-// arena-backed batch), exchange packing (per-destination staging vs
+// dominate the pipeline's compute phases — WKT parsing into the
+// arena-backed batch, exchange packing (per-destination staging vs
 // single-pack), WKB round trips, R-tree construction/query, exact
 // predicates. The parse/pack pairs report allocations and payload bytes
 // copied per record via the bench/common.hpp counters.
@@ -52,23 +52,6 @@ void reportPerRecord(benchmark::State& state, const bench::Counters& delta, std:
   state.counters["copiedB/rec"] =
       static_cast<double>(delta.bytesCopied) / static_cast<double>(records);
 }
-
-// Bulk parse, per-Geometry path: one heap Geometry per record.
-void BM_ParseAllLegacy(benchmark::State& state) {
-  const std::string text = recordText(256);
-  core::WktParser parser;
-  std::uint64_t records = 0;
-  const bench::Counters t0 = bench::countersNow();
-  for (auto _ : state) {
-    std::vector<geom::Geometry> out;
-    const auto stats = parser.parseAll(text, [&](geom::Geometry&& g) { out.push_back(std::move(g)); });
-    records += stats.records;
-    benchmark::DoNotOptimize(out.size());
-  }
-  reportPerRecord(state, bench::countersSince(t0), records);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text.size()));
-}
-BENCHMARK(BM_ParseAllLegacy);
 
 // Bulk parse, batch path: records parse straight into reused arenas.
 void BM_ParseAllBatch(benchmark::State& state) {
@@ -278,14 +261,11 @@ void BM_CellLocatorOverlappingCells(benchmark::State& state) {
 }
 BENCHMARK(BM_CellLocatorOverlappingCells)->Arg(1)->Arg(4)->Arg(12);
 
-// ---- Refine-layer indexing: legacy materialized layout vs batch-backed
-// DistributedIndex. The build pair prices constructing per-cell R-trees
-// (legacy: one heap Geometry per record first; batch: arena MBRs in
-// place), the query pair prices filter + exact refine (legacy:
-// intersects() on materialized geometries; batch: recordIntersectsBox on
-// arena records). allocs/rec is the acceptance metric for the
-// "zero per-record Geometry heap allocations" claim — the batch variants
-// amortize to ~0 while the legacy variants pay several per record.
+// ---- Refine-layer indexing: the batch-backed DistributedIndex. The build
+// bench prices constructing per-cell R-trees over arena MBRs in place,
+// the query bench prices filter + exact refine (recordIntersectsBox on
+// arena records). allocs/rec is the acceptance metric for the "zero
+// per-record Geometry heap allocations" claim: both amortize to ~0.
 
 constexpr int kIndexCells = 16;
 
@@ -310,47 +290,6 @@ mvio::geom::GeometryBatch indexInputBatch(std::size_t n, core::GridSpec& gridOut
   return batch;
 }
 
-/// The pre-refactor CellIndex layout: materialize every record into its
-/// cell, then bulk-load one R-tree per cell. Shared by the legacy build
-/// and query benches so both price the identical layout.
-/// (tests/test_batch_refine.cpp's LegacyIndex asserts result identity for
-/// the same layout; if the legacy semantics ever need a fix, change both.)
-struct LegacyCells {
-  std::unordered_map<int, std::vector<geom::Geometry>> geoms;
-  std::unordered_map<int, geom::RTree> trees;
-};
-
-LegacyCells buildLegacyCells(const geom::GeometryBatch& input) {
-  LegacyCells out;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    out.geoms[input.cell(i)].push_back(input.materialize(i));
-  }
-  for (auto& [cell, geoms] : out.geoms) {
-    std::vector<geom::RTree::Entry> entries;
-    entries.reserve(geoms.size());
-    for (std::size_t k = 0; k < geoms.size(); ++k) {
-      entries.push_back({geoms[k].envelope(), static_cast<std::uint64_t>(k)});
-    }
-    auto [it, ok] = out.trees.emplace(cell, geom::RTree(16));
-    it->second.bulkLoad(std::move(entries));
-  }
-  return out;
-}
-
-void BM_IndexBuildLegacy(benchmark::State& state) {
-  core::GridSpec grid;
-  const geom::GeometryBatch input = indexInputBatch(256, grid);
-  std::uint64_t records = 0;
-  const bench::Counters t0 = bench::countersNow();
-  for (auto _ : state) {
-    const LegacyCells cells = buildLegacyCells(input);
-    records += input.size();
-    benchmark::DoNotOptimize(cells.trees.size());
-  }
-  reportPerRecord(state, bench::countersSince(t0), records);
-}
-BENCHMARK(BM_IndexBuildLegacy);
-
 void BM_IndexBuildBatch(benchmark::State& state) {
   core::GridSpec grid;
   const geom::GeometryBatch input = indexInputBatch(256, grid);
@@ -365,41 +304,6 @@ void BM_IndexBuildBatch(benchmark::State& state) {
   reportPerRecord(state, bench::countersSince(t0), records);
 }
 BENCHMARK(BM_IndexBuildBatch);
-
-void BM_IndexQueryLegacy(benchmark::State& state) {
-  // The pre-refactor query layout and loop: per-cell materialized
-  // geometries + R-tree, reference-point dedup, then intersects() on the
-  // heap Geometry. allocs/rec divides by final matched records — the same
-  // denominator as the batch variant below.
-  core::GridSpec grid;
-  const geom::GeometryBatch input = indexInputBatch(256, grid);
-  const LegacyCells cells = buildLegacyCells(input);
-  util::Rng rng(9);
-  const geom::Envelope world = input.bounds();
-  std::uint64_t visited = 0;
-  const bench::Counters t0 = bench::countersNow();
-  for (auto _ : state) {
-    const double x = rng.uniform(world.minX(), world.maxX());
-    const double y = rng.uniform(world.minY(), world.maxY());
-    const geom::Envelope q(x, y, x + world.width() / 8, y + world.height() / 8);
-    const geom::Geometry qGeom = geom::Geometry::box(q);
-    std::uint64_t hits = 0;
-    for (const auto& [cell, tree] : cells.trees) {
-      const auto& geoms = cells.geoms.at(cell);
-      tree.query(q, [&](std::uint64_t k) {
-        const geom::Geometry& g = geoms[static_cast<std::size_t>(k)];
-        const geom::Coord ref{std::max(g.envelope().minX(), q.minX()),
-                              std::max(g.envelope().minY(), q.minY())};
-        if (grid.cellOfPoint(ref) != cell) return;
-        if (geom::intersects(qGeom, g)) ++hits;
-      });
-    }
-    visited += hits;
-    benchmark::DoNotOptimize(hits);
-  }
-  reportPerRecord(state, bench::countersSince(t0), visited);
-}
-BENCHMARK(BM_IndexQueryLegacy);
 
 void BM_IndexQueryBatch(benchmark::State& state) {
   core::GridSpec grid;

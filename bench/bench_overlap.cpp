@@ -37,7 +37,7 @@ int main() {
                                        osm::generateWktText(osm::RecordGenerator(specR), 16000)));
   volume->createOrReplace("s.wkt", std::make_shared<pfs::MemoryBackingStore>(
                                        osm::generateWktText(osm::RecordGenerator(specS), 8000)));
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
 
   struct Config {
     const char* label;
@@ -74,8 +74,8 @@ int main() {
       jcfg.framework.stream.chunkBytes = 64 << 10;
       jcfg.framework.threadsPerRank = cfg.threads;
       jcfg.framework.stream.overlapRounds = cfg.overlap;
-      core::DatasetHandle r{"r.wkt", &parser, {}};
-      core::DatasetHandle s{"s.wkt", &parser, {}};
+      core::DatasetHandle r{"r.wkt", wkt};
+      core::DatasetHandle s{"s.wkt", wkt};
       std::vector<core::JoinPair> local;
       const auto stats = core::spatialJoin(comm, *volume, r, s, jcfg, &local);
       // One reduction feeds the table row and (on the instrumented row)

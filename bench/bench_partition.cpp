@@ -72,7 +72,7 @@ int main() {
     return volume;
   };
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   auto runOnce = [&](pfs::Volume& volume, core::PartitionScheme scheme, bool rebalance) {
     // Every row starts on an idle storage model: without the reset a row
     // queues behind the OST intervals of the rows before it.
@@ -86,8 +86,8 @@ int main() {
       cfg.framework.partition.sampleRate = 0.05;
       cfg.framework.partition.targetCells = 16;
       cfg.framework.rebalanceCells = rebalance;
-      core::DatasetHandle r{"r.wkt", &parser, {}};
-      core::DatasetHandle s{"s.wkt", &parser, {}};
+      core::DatasetHandle r{"r.wkt", wkt};
+      core::DatasetHandle s{"s.wkt", wkt};
       std::vector<core::JoinPair> local;
       const auto stats = core::spatialJoin(comm, volume, r, s, cfg, &local);
       std::lock_guard<std::mutex> lock(mu);

@@ -45,7 +45,7 @@ int main() {
                                        osm::generateWktText(osm::RecordGenerator(specR), 6000)));
   volume->createOrReplace("s.wkt", std::make_shared<pfs::MemoryBackingStore>(
                                        osm::generateWktText(osm::RecordGenerator(specS), 4000)));
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
 
   struct Outcome {
     std::uint64_t pairs = 0;
@@ -58,8 +58,8 @@ int main() {
     std::uint64_t compactEvery = 0;  ///< CompactionPolicy::everyEpochs
     bool sharded = true;             ///< StreamConfig::shardedReplay
   };
-  auto runJoin = [&](std::uint64_t every, const std::string& dir, std::vector<int> failRanks,
-                     std::uint64_t killRound, Knobs knobs = {}) {
+  auto runJoin = [&](std::uint64_t every, const std::string& dir,
+                     std::vector<sim::FailureEvent> failSchedule, Knobs knobs = {}) {
     // Every row starts on an idle storage model: without the reset a row
     // queues behind the OST intervals of the rows before it.
     bench::resetModel(*volume);
@@ -75,10 +75,9 @@ int main() {
       cfg.framework.stream.checkpointDir = dir;
       cfg.framework.stream.compaction.everyEpochs = knobs.compactEvery;
       cfg.framework.stream.shardedReplay = knobs.sharded;
-      cfg.framework.failRanks = failRanks;  // copy: every rank thread reads it
-      cfg.framework.killPoint.afterRound = killRound;
-      core::DatasetHandle r{"r.wkt", &parser, {}};
-      core::DatasetHandle s{"s.wkt", &parser, {}};
+      cfg.framework.failSchedule = failSchedule;  // copy: every rank thread reads it
+      core::DatasetHandle r{"r.wkt", wkt};
+      core::DatasetHandle s{"s.wkt", wkt};
       const auto stats = core::spatialJoin(comm, *volume, r, s, cfg);
       pairs += stats.localPairs;
       ckptBytes += stats.phases.checkpointBytes;
@@ -107,13 +106,13 @@ int main() {
   };
 
   // ---- Table 1: checkpoint overhead sweep --------------------------------
-  const Outcome baseline = runJoin(0, "__ck_off", {}, 0);
+  const Outcome baseline = runJoin(0, "__ck_off", {});
   util::TextTable overhead({"every", "pairs", "ckpt bytes", "epochs", "ckpt t", "total"});
   overhead.addRow({"off", std::to_string(baseline.pairs), util::formatBytes(baseline.ckptBytes),
                    "0", util::formatSeconds(baseline.ckptSeconds),
                    util::formatSeconds(baseline.totalSeconds)});
   for (const std::uint64_t every : {8u, 4u, 2u, 1u}) {
-    const Outcome o = runJoin(every, "__ck_e" + std::to_string(every), {}, 0);
+    const Outcome o = runJoin(every, "__ck_e" + std::to_string(every), {});
     MVIO_CHECK(o.pairs == baseline.pairs, "checkpointed run changed the join result");
     overhead.addRow({std::to_string(every), std::to_string(o.pairs),
                      util::formatBytes(o.ckptBytes), std::to_string(o.ckptEpochs),
@@ -128,7 +127,7 @@ int main() {
   for (const std::uint64_t killRound : {2u, 5u, 8u}) {
     if (killRound > dataRounds) continue;
     const Outcome o =
-        runJoin(4, "__ck_kill" + std::to_string(killRound), {kProcs - 1}, killRound);
+        runJoin(4, "__ck_kill" + std::to_string(killRound), {{kProcs - 1, killRound, 0}});
     MVIO_CHECK(o.pairs == baseline.pairs, "recovered run changed the join result");
     recov.addRow({std::to_string(killRound), std::to_string(o.epochUsed),
                   std::to_string(o.recRounds), util::formatBytes(o.recBytes),
@@ -141,7 +140,8 @@ int main() {
                            "rec t", "pairs", "identical"});
   const std::uint64_t elasticKill = std::min<std::uint64_t>(5, dataRounds);
   const auto elasticRow = [&](const char* name, const std::string& dir, Knobs knobs) {
-    const Outcome o = runJoin(2, dir, {kProcs - 1, kProcs / 2}, elasticKill, knobs);
+    const Outcome o =
+        runJoin(2, dir, {{kProcs - 1, elasticKill, 0}, {kProcs / 2, elasticKill, 0}}, knobs);
     MVIO_CHECK(o.pairs == baseline.pairs, "elasticity config changed the join result");
     elastic.addRow({name, util::formatBytes(o.recBytes), std::to_string(o.recRounds),
                     util::formatBytes(o.compactBytes), util::formatBytes(o.reclaimedBytes),

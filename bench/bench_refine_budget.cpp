@@ -35,7 +35,7 @@ int main() {
                           std::make_shared<pfs::MemoryBackingStore>(
                               osm::generateWktText(osm::RecordGenerator(roads), 30000)));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   const geom::Envelope probe(20, 20, 60, 60);
 
   // ---- Part 1: refine-budget sweep --------------------------------------
@@ -73,7 +73,7 @@ int main() {
       icfg.framework.gridCells = 256;
       icfg.framework.stream.chunkBytes = cfg.chunkBytes;
       icfg.framework.stream.memoryBudget = cfg.budget;
-      core::DatasetHandle data{"roads.wkt", &parser, {}};
+      core::DatasetHandle data{"roads.wkt", wkt};
       core::IndexingStats stats;
       const auto index = core::buildDistributedIndex(comm, *volume, data, icfg, &stats);
       const auto reduced = stats.phases.maxAcross(comm);
@@ -121,7 +121,7 @@ int main() {
       core::IndexingConfig icfg;
       icfg.framework.gridCells = 256;
       icfg.framework.rebalanceCells = rebalance;
-      core::DatasetHandle data{"roads.wkt", &parser, {}};
+      core::DatasetHandle data{"roads.wkt", wkt};
       core::IndexingStats stats;
       const auto index = core::buildDistributedIndex(comm, *volume, data, icfg, &stats);
       const auto reduced = stats.phases.maxAcross(comm);

@@ -34,7 +34,7 @@ int main() {
                           std::make_shared<pfs::MemoryBackingStore>(
                               osm::generateWktText(osm::RecordGenerator(roads), 30000)));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   const geom::Envelope probe(20, 20, 60, 60);
 
   struct Config {
@@ -64,7 +64,7 @@ int main() {
       icfg.framework.gridCells = 256;
       icfg.framework.stream.chunkBytes = cfg.chunkBytes;
       icfg.framework.stream.memoryBudget = cfg.budget;
-      core::DatasetHandle data{"roads.wkt", &parser, {}};
+      core::DatasetHandle data{"roads.wkt", wkt};
       core::IndexingStats stats;
       const auto index = core::buildDistributedIndex(comm, *volume, data, icfg, &stats);
       const auto reduced = stats.phases.maxAcross(comm);

@@ -55,16 +55,16 @@ int main(int argc, char** argv) {
     track.emplace_back(cx - radius, cy - radius, cx + radius, cy + radius);
   }
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   mpi::Runtime::run(procs, sim::MachineModel::roger(std::max(procs / 20, 1)), [&](mpi::Comm& comm) {
     core::RangeQueryConfig cfg;
     cfg.framework.gridCells = 1024;
 
-    core::DatasetHandle roadsHandle{"roads.wkt", &parser, {}};
+    core::DatasetHandle roadsHandle{"roads.wkt", wkt};
     core::RangeQueryStats roadStats;
     const auto roadHits = core::batchRangeQuery(comm, *volume, roadsHandle, track, cfg, &roadStats);
 
-    core::DatasetHandle bldgHandle{"buildings.wkt", &parser, {}};
+    core::DatasetHandle bldgHandle{"buildings.wkt", wkt};
     core::RangeQueryStats bldgStats;
     const auto shelterHits = core::batchRangeQuery(comm, *volume, bldgHandle, track, cfg, &bldgStats);
 

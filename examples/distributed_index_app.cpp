@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
     queries.emplace_back(x, y, x + rng.uniform(2, 15), y + rng.uniform(2, 15));
   }
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   mpi::Runtime::run(procs, sim::MachineModel::roger(std::max(procs / 20, 1)), [&](mpi::Comm& comm) {
     core::IndexingConfig cfg;
     cfg.framework.gridCells = static_cast<int>(cli.integer("cells"));
-    core::DatasetHandle data{"road_network.wkt", &parser, {}};
+    core::DatasetHandle data{"road_network.wkt", wkt};
     core::IndexingStats stats;
     const core::DistributedIndex index = core::buildDistributedIndex(comm, *volume, data, cfg, &stats);
     const core::PhaseBreakdown ph = stats.phases.maxAcross(comm);

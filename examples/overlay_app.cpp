@@ -40,14 +40,14 @@ int main(int argc, char** argv) {
                           std::make_shared<pfs::MemoryBackingStore>(osm::generateWktText(
                               osm::RecordGenerator(roads), static_cast<std::uint64_t>(cli.integer("roads")))));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   core::GridSpec grid;
   mpi::Runtime::run(procs, sim::MachineModel::comet(std::max((procs + 15) / 16, 1)), [&](mpi::Comm& comm) {
     core::OverlayConfig cfg;
     cfg.framework.gridCells = gridSide * gridSide;
     cfg.outputPath = "coverage.bin";
-    core::DatasetHandle r{"lakes.wkt", &parser, {}};
-    core::DatasetHandle s{"roads.wkt", &parser, {}};
+    core::DatasetHandle r{"lakes.wkt", wkt};
+    core::DatasetHandle s{"roads.wkt", wkt};
     const core::OverlayStats stats = core::gridCoverageOverlay(comm, *volume, r, &s, cfg);
     if (comm.rank() == 0) {
       grid = stats.grid;

@@ -44,13 +44,13 @@ int main(int argc, char** argv) {
                               osm::generateWktText(osm::RecordGenerator(cems),
                                                    static_cast<std::uint64_t>(cli.integer("cemeteries")))));
 
-  core::WktParser parser;
+  const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   mpi::Runtime::run(procs, sim::MachineModel::roger(std::max(procs / 20, 1)), [&](mpi::Comm& comm) {
     core::JoinConfig cfg;
     cfg.framework.gridCells = static_cast<int>(cli.integer("cells"));
     cfg.predicate = core::JoinPredicate::kIntersects;
-    core::DatasetHandle r{"lakes.wkt", &parser, {}};
-    core::DatasetHandle s{"cemeteries.wkt", &parser, {}};
+    core::DatasetHandle r{"lakes.wkt", wkt};
+    core::DatasetHandle s{"cemeteries.wkt", wkt};
 
     const core::JoinStats stats = core::spatialJoin(comm, *volume, r, s, cfg);
     const core::PhaseBreakdown ph = stats.phases.maxAcross(comm);

@@ -106,8 +106,8 @@ class FormatReader {
 /// existing pipeline runs through.
 class TextFormatReader final : public FormatReader {
  public:
-  /// Non-owning view over an externally held parser (the framework shim
-  /// for DatasetHandle::parser).
+  /// Non-owning view over an externally held parser (how a custom text
+  /// Parser becomes a DatasetHandle::format).
   explicit TextFormatReader(const Parser* parser, std::string name = "text");
   /// Owning form for registry builtins.
   TextFormatReader(std::string name, std::unique_ptr<const Parser> parser);

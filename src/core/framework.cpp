@@ -32,6 +32,12 @@ void RefineTask::mergeWorker(RefineTask& /*worker*/) {
 
 namespace {
 
+/// Node-local scratch bandwidth pricing spill writes + reloads when
+/// StreamConfig::spillOnPfs is off.
+constexpr double kNodeLocalSpillBytesPerSecond = 2.0e9;
+/// Largest encoded migration blob (migrateShards bound).
+constexpr std::uint64_t kMigrationBlobBytes = 1ull << 20;
+
 std::uint64_t allreduceMaxU64(mpi::Comm& comm, std::uint64_t v) {
   std::uint64_t out = 0;
   comm.allreduce(&v, &out, 1, mpi::Datatype::uint64(), mpi::Op::max());
@@ -215,20 +221,8 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
                  ParseStats& parseStats, PartitionResult& ioStats, PhaseBreakdown& phases,
                  recovery::CheckpointCoordinator& ckpt, int layer, util::ThreadPool* pool,
                  std::deque<ChunkPrep>* overlapPrep, PilotSampler* pilot) {
-  // Resolve the layer's ingest format: an explicit FormatReader wins; a
-  // bare Parser is wrapped in a TextFormatReader shim (byte-identical to
-  // the classic text path).
-  const FormatReader* fmt = ds.format;
-  std::optional<TextFormatReader> textShim;
-  if (fmt == nullptr) {
-    MVIO_CHECK(ds.parser != nullptr, "dataset needs a parser or format");
-    textShim.emplace(ds.parser);
-    fmt = &*textShim;
-  } else {
-    MVIO_CHECK(ds.parser == nullptr, "dataset has both a parser and a format; set exactly one");
-  }
   io::File file = io::File::open(comm, volume, ds.path, cfg.ioHints);
-  PartitionReader reader(comm, file, ds.partition, cfg.stream.chunkBytes, fmt);
+  PartitionReader reader(comm, file, ds.partition, cfg.stream.chunkBytes, ds.format);
 
   std::string text;
   while (true) {
@@ -243,11 +237,11 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
     ParseTiming pt;
     ParseStats ps;
     if (pool != nullptr && pool->threads() > 1) {
-      ps = fmt->parseChunk(text, chunk, pool, &pt);
+      ps = ds.format->parseChunk(text, chunk, pool, &pt);
       phases.workerCpu += pt.cpuSum;
       phases.workerCritical += pt.critical;
     } else {
-      ps = fmt->parseChunk(text, chunk, nullptr, &pt);
+      ps = ds.format->parseChunk(text, chunk, nullptr, &pt);
     }
     parseStats.records += ps.records;
     parseStats.badRecords += ps.badRecords;
@@ -351,6 +345,8 @@ geom::GeometryBatch projectToCells(const PartitionMap& map, const CellLocator* l
 FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& r,
                                const DatasetHandle* s, const FrameworkConfig& cfg, RefineTask& task) {
   MVIO_CHECK(cfg.gridCells >= 1, "need at least one grid cell");
+  MVIO_CHECK(r.format != nullptr && (s == nullptr || s->format != nullptr),
+             "every DatasetHandle needs a format (FormatRegistry reader or TextFormatReader)");
   FrameworkStats stats;
   const StreamConfig& sc = cfg.stream;
   const std::uint64_t budget = sc.memoryBudget == 0 ? UINT64_MAX : sc.memoryBudget;
@@ -364,23 +360,14 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   ckptCfg.dir = sc.checkpointDir;
   ckptCfg.tearEpochSeal = sc.tearEpochSeal;
   ckptCfg.compactEveryEpochs = sc.compaction.everyEpochs;
-  ckptCfg.compactKeepEpochs = sc.compaction.keepEpochs;
   recovery::CheckpointCoordinator ckpt(comm, volume, ckptCfg, &stats.phases);
   if (ckpt.enabled()) {
     MVIO_CHECK(comm.rank() == comm.worldRank(),
                "checkpointing requires the world communicator (blob names are world-rank keyed)");
   }
 
-  // Unified fault schedule: explicit cascading events plus the legacy
-  // failRanks/killPoint single-wave form (which maps to pass-0 events).
+  // Fault schedule, ordered by (boundary, recovery pass, rank).
   std::vector<sim::FailureEvent> schedule = cfg.failSchedule;
-  MVIO_CHECK(cfg.killPoint.afterRound == 0 || !cfg.failRanks.empty(),
-             "killPoint set without failRanks — the kill would silently never fire");
-  MVIO_CHECK(cfg.failRanks.empty() || cfg.killPoint.afterRound != 0,
-             "failRanks set without a kill point");
-  for (const int dead : cfg.failRanks) {
-    schedule.push_back({dead, cfg.killPoint.afterRound, 0});
-  }
   std::sort(schedule.begin(), schedule.end(),
             [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
               return std::tie(a.afterRound, a.duringRecoveryPass, a.rank) <
@@ -453,7 +440,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   pfs::SpillStore spill(volume, sc.spillDir + "/rank" + std::to_string(comm.worldRank()));
   const pfs::SpillPricer pricer = sc.spillOnPfs
                                       ? pfs::SpillPricer::onVolume(volume, comm.nodeId())
-                                      : pfs::SpillPricer::flatRate(sc.spillBytesPerSecond);
+                                      : pfs::SpillPricer::flatRate(kNodeLocalSpillBytesPerSecond);
   Spiller spiller{&comm, &spill, pricer, &stats.phases};
 
   // 1+2: read and parse both layers, chunk by chunk, staging the parsed
@@ -977,7 +964,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
           }
           const std::uint64_t more = allreduceMaxU64(active, next < leaving.size() ? 1 : 0);
           geom::GeometryBatch got = migrateShards(active, std::move(outgoing),
-                                                  cfg.migrationBlobBytes, &stats.balance.transport);
+                                                  kMigrationBlobBytes, &stats.balance.transport);
           store.addMigrated(std::move(got));
           stats.balance.migrationPasses += 1;
           if (more == 0) break;

@@ -51,24 +51,23 @@
 
 namespace mvio::core {
 
-/// One input layer: a file on a volume plus how to partition and parse it.
-/// Exactly one of `parser` / `format` must be set. `parser` is the classic
-/// delimited-text entry point (WKT/CSV/user parsers, wrapped internally in
-/// a TextFormatReader); `format` selects any registered FormatReader —
-/// including the framed binary WKB fast path, whose boundary resolution
-/// walks record length headers and whose parseChunk decodes straight into
-/// the batch arenas (DESIGN.md §12).
+/// One input layer: a file on a volume, the registered FormatReader that
+/// parses it, and how to partition it. `format` is required: take a
+/// builtin from the FormatRegistry ("wkt", "csv", the framed binary
+/// "wkb" fast path, whose boundary resolution walks record length
+/// headers and whose parseChunk decodes straight into the batch arenas),
+/// or wrap a custom delimited-text Parser in a TextFormatReader
+/// (DESIGN.md §12).
 struct DatasetHandle {
   std::string path;
-  const Parser* parser = nullptr;
-  PartitionConfig partition;
   const FormatReader* format = nullptr;
+  PartitionConfig partition;
 };
 
 /// Checkpoint GC + epoch compaction (DESIGN.md §11). When enabled, after
-/// every `everyEpochs`-th *valid* (untorn) seal each rank folds its delta
-/// shards for epochs `oldBase+1 .. E - keepEpochs` — plus any previous
-/// base — into one checksummed base checkpoint, commits it by writing a
+/// every `everyEpochs`-th *valid* (untorn) seal E each rank folds its
+/// delta shards for epochs `oldBase+1 .. E-1` — plus any previous base —
+/// into one checksummed base checkpoint, commits it by writing a
 /// `base.manifest`, and then garbage-collects the folded delta shards,
 /// the superseded base, and the ingest chunk blobs for every round the
 /// new base covers. Recovery loads one base + the bounded delta tail
@@ -78,12 +77,10 @@ struct DatasetHandle {
 /// PhaseBreakdown::{compaction, compactionBytes}; bytes deleted land in
 /// PhaseBreakdown::reclaimedBytes.
 struct CompactionPolicy {
-  /// Fold every N valid sealed epochs (0 = compaction disabled).
+  /// Fold every N valid sealed epochs (0 = compaction disabled). The
+  /// newest sealed epoch always stays a delta, so a torn seal E still has
+  /// a delta tail to fall back through.
   std::uint64_t everyEpochs = 0;
-  /// Epochs kept as deltas behind the newest seal. keepEpochs = 1 at
-  /// seal E folds up to E-1 so a torn seal E still has a delta tail to
-  /// fall back through.
-  std::uint64_t keepEpochs = 1;
 };
 
 /// Streaming-round controls (DESIGN.md §7). The defaults reproduce the
@@ -102,13 +99,12 @@ struct StreamConfig {
   /// whole-process cap: one in-flight chunk plus one reloading shard are
   /// always resident.
   std::uint64_t memoryBudget = 0;
-  /// Modelled node-local scratch bandwidth for spill writes + reloads
-  /// (charged to the rank clock; lands in PhaseBreakdown::spill).
-  double spillBytesPerSecond = 2.0e9;
-  /// When true the scratch directory lives on the parallel filesystem:
-  /// spill writes and reloads are priced by the Volume's storage model
-  /// (pfs::SpillPricer::onVolume — OST/NSD queue contention with every
-  /// other rank's traffic) instead of the flat node-local rate above.
+  /// Spill writes + reloads are charged to the rank clock and land in
+  /// PhaseBreakdown::spill. By default the scratch directory is
+  /// node-local, priced at a flat 2 GB/s. When true it lives on the
+  /// parallel filesystem instead: spill writes and reloads are priced by
+  /// the Volume's storage model (pfs::SpillPricer::onVolume — OST/NSD
+  /// queue contention with every other rank's traffic).
   bool spillOnPfs = false;
   /// Volume directory for spill shards; each rank uses
   /// "<spillDir>/rank<worldRank>". Scratch blobs are removed when the run
@@ -191,8 +187,6 @@ struct FrameworkConfig {
   /// roughly one budget share of outgoing records (plus one cell of
   /// slack for a cell larger than the budget) at a time.
   bool rebalanceCells = false;
-  /// Largest encoded migration blob (migrateShards bound).
-  std::uint64_t migrationBlobBytes = 1ull << 20;
   /// Adaptive rebalance trigger: the migration pass only runs when the
   /// allreduced max/mean per-rank load ratio is at least this value.
   /// 1.0 (or anything ≤ 1) keeps the unconditional behaviour; e.g. 1.5
@@ -200,22 +194,17 @@ struct FrameworkConfig {
   /// already within 50% of the mean. The measured imbalance and the
   /// decision are recorded in RebalanceStats either way.
   double rebalanceThreshold = 1.0;
-  /// Failure injection: world ranks that die at the kill point (fail-stop;
-  /// requires StreamConfig::checkpointEveryRounds > 0 so survivors can
-  /// recover). Empty = no injection. Legacy single-wave form: every rank
-  /// listed here dies together after killPoint.afterRound rounds —
-  /// equivalent to a failSchedule entry with duringRecoveryPass 0.
-  std::vector<int> failRanks;
-  /// When the named ranks die: after this many exchange data rounds.
-  sim::KillPoint killPoint;
-  /// General fault schedule: each event names a rank, the data-round
-  /// boundary it dies at, and (for cascading failures) which recovery
-  /// pass it dies during. Events sharing a boundary/pass die together;
-  /// events at later boundaries or passes are detected by the survivors'
-  /// next detection allgather and trigger another recovery pass over the
-  /// shrunken communicator. May be combined with failRanks/killPoint
-  /// (which contribute pass-0 events). A rank may die at most once and
-  /// at least one rank must survive the whole schedule.
+  /// Failure injection (fail-stop; requires
+  /// StreamConfig::checkpointEveryRounds > 0 so survivors can recover).
+  /// Each event names a world rank, the data-round boundary it dies at,
+  /// and (for cascading failures) which recovery pass it dies during;
+  /// e.g. {{1, 5, 0}, {3, 5, 0}} kills ranks 1 and 3 together after five
+  /// data rounds. Events sharing a boundary/pass die together; events at
+  /// later boundaries or passes are detected by the survivors' next
+  /// detection allgather and trigger another recovery pass over the
+  /// shrunken communicator. A rank may die at most once, at least one
+  /// rank must survive the whole schedule, and the first wave must strike
+  /// at a round boundary (duringRecoveryPass 0). Empty = no injection.
   std::vector<sim::FailureEvent> failSchedule;
 };
 

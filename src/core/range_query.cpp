@@ -118,11 +118,10 @@ std::vector<std::uint64_t> batchRangeQuery(mpi::Comm& comm, pfs::Volume& volume,
   std::vector<std::uint64_t> counts(queries.size(), 0);
   QueryTask task(&counts, cfg.rtreeFanout);
 
-  QueryBatchParser queryParser;
-  DatasetHandle queryHandle;
-  queryHandle.path = queryFile;
-  queryHandle.parser = &queryParser;
-  queryHandle.partition = PartitionConfig{};  // equal split, message strategy
+  const QueryBatchParser queryParser;
+  const TextFormatReader queryFormat(&queryParser, "query");
+  // Equal split, message strategy.
+  const DatasetHandle queryHandle{queryFile, &queryFormat, PartitionConfig{}};
 
   const FrameworkStats fw = runFilterRefine(comm, volume, data, &queryHandle, cfg.framework, task);
 

@@ -80,32 +80,14 @@ std::string RunReport::toJson() const {
   appendJsonString(out, setup);
   out += ",\"phases\":{";
   if (hasPhases) {
-    const core::PhaseBreakdown& p = phases;
     bool first = true;
-    appendField(out, first, "read", p.read);
-    appendField(out, first, "parse", p.parse);
-    appendField(out, first, "partition", p.partition);
-    appendField(out, first, "comm", p.comm);
-    appendField(out, first, "compute", p.compute);
-    appendField(out, first, "spill", p.spill);
-    appendField(out, first, "migrate", p.migrate);
-    appendField(out, first, "checkpoint", p.checkpoint);
-    appendField(out, first, "recovery", p.recovery);
-    appendField(out, first, "compaction", p.compaction);
-    appendField(out, first, "overlapped", p.overlapped);
-    appendField(out, first, "workerCpu", p.workerCpu);
-    appendField(out, first, "workerCritical", p.workerCritical);
-    appendField(out, first, "total", p.total());
-    appendField(out, first, "rounds", static_cast<double>(p.rounds));
-    appendField(out, first, "refineSpillBytes", static_cast<double>(p.refineSpillBytes));
-    appendField(out, first, "migrateBytes", static_cast<double>(p.migrateBytes));
-    appendField(out, first, "migrateRounds", static_cast<double>(p.migrateRounds));
-    appendField(out, first, "checkpointBytes", static_cast<double>(p.checkpointBytes));
-    appendField(out, first, "checkpointEpochs", static_cast<double>(p.checkpointEpochs));
-    appendField(out, first, "recoveryBytes", static_cast<double>(p.recoveryBytes));
-    appendField(out, first, "recoveryRounds", static_cast<double>(p.recoveryRounds));
-    appendField(out, first, "compactionBytes", static_cast<double>(p.compactionBytes));
-    appendField(out, first, "reclaimedBytes", static_cast<double>(p.reclaimedBytes));
+    for (const core::PhaseField& f : core::kPhaseFields) {
+      if (f.seconds != nullptr) appendField(out, first, f.name, phases.*f.seconds);
+    }
+    appendField(out, first, "total", phases.total());
+    for (const core::PhaseField& f : core::kPhaseFields) {
+      if (f.count != nullptr) appendField(out, first, f.name, static_cast<double>(phases.*f.count));
+    }
   }
   out += "},\"values\":{";
   {

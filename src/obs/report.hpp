@@ -12,9 +12,13 @@
 //                    "min": ..., "max": ..., "sum": ..., "mean": ...,
 //                    "p50": ..., "p99": ... }, ... ] }
 //
+// The "phases" object is emitted from core::kPhaseFields (phases.hpp),
+// the same table PhaseBreakdown::maxAcross and total() loop over, with
+// "total" between the time fields and the counters.
+//
 // capturePhases() is the one reduction path: it calls
-// PhaseBreakdown::maxAcross (a single collective since this PR) and
-// keeps the reduced struct, so a bench table printed from the returned
+// PhaseBreakdown::maxAcross (a single collective) and keeps the reduced
+// struct, so a bench table printed from the returned
 // reference and the JSON emitted from the report can never disagree.
 // scripts/check_bench.py validates the schema and gates CI on tracked
 // values against bench/baselines/*.json.

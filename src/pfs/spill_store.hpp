@@ -14,10 +14,10 @@
 //
 // The store is layer-pure: it moves bytes, never geometry. The shard
 // codec (geom/batch_shard.hpp) converts batches to bytes, and the
-// framework charges the modelled scratch-I/O time
-// (StreamConfig::spillBytesPerSecond) to the rank clock at the call
-// sites. Stats count blobs and bytes in both directions plus the peak
-// bytes resident, which is how benches report bytes-spilled.
+// framework charges the modelled scratch-I/O time (a SpillPricer) to
+// the rank clock at the call sites. Stats count blobs and bytes in both
+// directions plus the peak bytes resident, which is how benches report
+// bytes-spilled.
 //
 // Thread safety: one SpillStore per rank (names carry the rank), over a
 // Volume whose registry is itself thread-safe.

@@ -289,8 +289,8 @@ void CheckpointCoordinator::maybeCompact() {
   // A torn seal means this epoch never committed; folding up to it would
   // leave recovery with a base newer than the newest *valid* seal.
   if (cfg_.tearEpochSeal == epoch_) return;
-  const std::uint64_t target =
-      epoch_ > cfg_.compactKeepEpochs ? epoch_ - cfg_.compactKeepEpochs : 0;
+  // Fold up to the epoch behind this seal; this seal stays a delta.
+  const std::uint64_t target = epoch_ > 0 ? epoch_ - 1 : 0;
   if (target == 0 || target <= baseEpoch_) return;
 
   const int me = comm_->worldRank();

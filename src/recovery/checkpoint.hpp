@@ -61,12 +61,12 @@ struct CheckpointConfig {
   /// this splits into several blobs).
   std::uint64_t maxShardBytes = 1ull << 20;
   /// Epoch compaction + GC (core::CompactionPolicy semantics): after
-  /// every compactEveryEpochs-th valid seal E, fold epochs up to
-  /// E - compactKeepEpochs into the base checkpoint and delete the folded
-  /// delta shards, the superseded base, and the chunk-log blobs the base
-  /// covers. 0 = never compact.
+  /// every compactEveryEpochs-th valid seal E, fold epochs up to E-1 into
+  /// the base checkpoint and delete the folded delta shards, the
+  /// superseded base, and the chunk-log blobs the base covers. The newest
+  /// seal stays a delta so a torn seal still has a tail to fall back
+  /// through. 0 = never compact.
   std::uint64_t compactEveryEpochs = 0;
-  std::uint64_t compactKeepEpochs = 1;
 };
 
 /// Layer index used in blob names: 0 = R, 1 = S.

@@ -1,11 +1,12 @@
 #pragma once
 // Failure recovery: shard re-homing onto survivors (DESIGN.md §9).
 //
-// When the kill point fires, every rank of the original communicator
-// takes part in one last detection collective (an allgather of alive
-// flags — the simulation's stand-in for a failure detector), the
-// communicator is shrunk to the survivors, and the dead ranks leave with
-// their volatile state. The survivors then rebuild the lost state from
+// When a FrameworkConfig::failSchedule wave strikes (the
+// sim::FailureEvent ranks due at this round boundary or recovery pass),
+// every rank of the original communicator takes part in one last
+// detection collective (an allgather of alive flags — the simulation's
+// stand-in for a failure detector), the communicator is shrunk to the
+// survivors, and the dead ranks leave with their volatile state. The survivors then rebuild the lost state from
 // the durable blobs the CheckpointCoordinator wrote:
 //
 //  1. Agree on the recovery point: scan epoch seals newest-first and
@@ -35,7 +36,7 @@
 //     only its block, and one exchangeByCell per round routes the
 //     records to their owners — aggregate replay reads are O(log), not
 //     O(survivors·log). The full-replay fallback (shardedReplay false)
-//     keeps the PR-5 communication-free path: every survivor reads all
+//     keeps the communication-free path: every survivor reads all
 //     logs and filters locally. Either way, rounds already delivered
 //     (≤ deliveredRound) contribute only orphaned-cell records; rounds
 //     the failure pre-empted contribute everything the survivor owns.

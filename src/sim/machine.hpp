@@ -29,27 +29,17 @@ struct LinkModel {
   }
 };
 
-/// Fail-stop failure-injection kill point. The framework consults it at
-/// exchange-round boundaries: once `afterRound` data rounds have
-/// completed, the ranks named by FrameworkConfig::failRanks drop out of
-/// the job — their volatile state (staged chunks, owned cell stores,
+/// One injected fail-stop rank death (FrameworkConfig::failSchedule). The
+/// framework consults the schedule at exchange-round boundaries: once
+/// `afterRound` (>= 1) data rounds have completed, the rank drops out of
+/// the job — its volatile state (staged chunks, owned cell stores,
 /// scratch spill blobs) is discarded, exactly as if the node had died.
-/// Only durable checkpoint state on the pfs::Volume survives them.
-/// `afterRound` 0 disables the kill point.
-struct KillPoint {
-  std::uint64_t afterRound = 0;
-
-  [[nodiscard]] bool fires(std::uint64_t completedDataRounds) const {
-    return afterRound != 0 && completedDataRounds == afterRound;
-  }
-};
-
-/// One injected rank death in a fault schedule. `afterRound` is the data
-/// round after which the rank drops (as in KillPoint). `duringRecoveryPass`
-/// refines the timing for cascading failures: 0 means the rank dies at the
-/// round boundary itself; k >= 1 means it dies while the k-th recovery pass
-/// triggered at that boundary is running, so the survivors of pass k detect
-/// it afterwards and run pass k+1. Several events may share a boundary.
+/// Only durable checkpoint state on the pfs::Volume survives it.
+/// `duringRecoveryPass` refines the timing for cascading failures: 0 means
+/// the rank dies at the round boundary itself; k >= 1 means it dies while
+/// the k-th recovery pass triggered at that boundary is running, so the
+/// survivors of pass k detect it afterwards and run pass k+1. Several
+/// events may share a boundary.
 struct FailureEvent {
   int rank = -1;
   std::uint64_t afterRound = 0;

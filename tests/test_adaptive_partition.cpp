@@ -56,7 +56,7 @@ std::string fileBytes(mp::Volume& volume, const std::string& name) {
 /// recovery fixture so 4 KB-chunk streaming runs span many rounds.
 struct SkewFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   SkewFixture() {
     mo::SynthSpec specR = mo::datasetSpec(mo::DatasetId::kCemetery, 71);
@@ -109,8 +109,8 @@ JoinRun runJoin(SkewFixture& fx, const std::function<void(mc::JoinConfig&)>& twe
     mc::JoinConfig cfg;
     cfg.framework.gridCells = 36;
     tweak(cfg);
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     std::vector<mc::JoinPair> local;
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
     std::lock_guard<std::mutex> lock(mu);
@@ -431,7 +431,7 @@ TEST(AdaptivePartition, MapIdenticalAcrossRanksAndSchemeApplied) {
       mc::IndexingConfig cfg;
       cfg.framework.gridCells = 36;
       adaptiveTweak(cfg.framework, scheme);
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg);
       std::lock_guard<std::mutex> lock(mu);
       encoded.push_back(mc::encodePartitionMap(index.partition()));
@@ -502,8 +502,8 @@ TEST(AdaptivePartition, OverlayRasterBitIdenticalAcrossSchemes) {
         adaptiveTweak(cfg.framework, schemes[mode]);
       }
       if (mode == 3) cfg.framework.rebalanceCells = true;
-      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
       (void)mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
     });
     rasters[mode] = fileBytes(*fx.volume, out);
@@ -534,7 +534,7 @@ TEST(AdaptivePartition, IndexQueryCountsMatchAcrossSchemes) {
       if (schemes[mode] != mc::PartitionScheme::kUniform) {
         adaptiveTweak(cfg.framework, schemes[mode]);
       }
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const std::uint64_t local = index.queryCount(queries[q]);
@@ -564,8 +564,7 @@ TEST(AdaptivePartition, RecoveryRestoresSealedMapBitIdentically) {
   const JoinRun killed = runJoin(fx, [&](mc::JoinConfig& cfg) {
     adaptiveTweak(cfg.framework, mc::PartitionScheme::kQuadtree);
     cfg.framework.stream = SkewFixture::streamedConfig(2, ckptDir);
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   });
   EXPECT_EQ(killed.died, 1);
   EXPECT_EQ(killed.recovered, 3);
@@ -590,8 +589,7 @@ TEST(AdaptivePartition, RecoveryRestoresSealedMapBitIdentically) {
     adaptiveTweak(cfg.framework, mc::PartitionScheme::kHilbert);
     cfg.framework.stream = SkewFixture::streamedConfig(2, "__ap_ck_hil");
     cfg.framework.rebalanceCells = true;
-    cfg.framework.failRanks = {1};
-    cfg.framework.killPoint.afterRound = 4;
+    cfg.framework.failSchedule = {{1, 4, 0}};
   });
   EXPECT_EQ(hilbert.recovered, 3);
   EXPECT_EQ(hilbert.pairs, base.pairs);

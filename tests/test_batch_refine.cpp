@@ -135,9 +135,7 @@ namespace {
 
 /// The pre-refactor CellIndex: materialized geometries + an R-tree, with
 /// the query loop the old DistributedIndex ran. Kept here as the reference
-/// the batch-backed index must match record for record. (bench_micro_geom's
-/// LegacyCells prices the same layout for the alloc counters; if the
-/// legacy semantics ever need a fix, change both.)
+/// the batch-backed index must match record for record.
 struct LegacyIndex {
   struct Cell {
     std::vector<mg::Geometry> geometries;
@@ -235,6 +233,7 @@ TEST(BatchRefine, OverlayCoverageRegressionThroughBatchInterface) {
   vol->create("r.wkt", std::make_shared<mp::MemoryBackingStore>(textR));
 
   mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   std::vector<mg::Geometry> all;
   parser.parseAll(textR, [&](mg::Geometry&& g) { all.push_back(std::move(g)); });
 
@@ -245,7 +244,7 @@ TEST(BatchRefine, OverlayCoverageRegressionThroughBatchInterface) {
       mc::OverlayConfig cfg;
       cfg.framework.gridCells = 25;
       cfg.outputPath = "batch_cov.bin";
-      mc::DatasetHandle r{"r.wkt", &parser, {}};
+      mc::DatasetHandle r{"r.wkt", wkt};
       const auto st = mc::gridCoverageOverlay(comm, *vol, r, nullptr, cfg);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);

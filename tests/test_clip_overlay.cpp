@@ -108,6 +108,7 @@ TEST(Overlay, CoverageSumsMatchAndFileIsRowMajor) {
 
   // Reference: total area of R and total length of S.
   mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   double areaR = 0, lenS = 0;
   parser.parseAll(textR, [&](mg::Geometry&& g) { areaR += mg::area(g); });
   parser.parseAll(textS, [&](mg::Geometry&& g) { lenS += mg::length(g); });
@@ -119,8 +120,8 @@ TEST(Overlay, CoverageSumsMatchAndFileIsRowMajor) {
       mc::OverlayConfig cfg;
       cfg.framework.gridCells = 36;
       cfg.outputPath = "coverage.bin";
-      mc::DatasetHandle r{"r.wkt", &parser, {}};
-      mc::DatasetHandle s{"s.wkt", &parser, {}};
+      mc::DatasetHandle r{"r.wkt", wkt};
+      mc::DatasetHandle s{"s.wkt", wkt};
       const auto st = mc::gridCoverageOverlay(comm, *vol, r, &s, cfg);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);
@@ -165,12 +166,12 @@ TEST(Overlay, SingleLayerAndEmptyCells) {
   // A single tiny polygon in a big grid: almost all cells are zero.
   vol->create("one.wkt", std::make_shared<mp::MemoryBackingStore>(
                              std::string("POLYGON ((10 10, 11 10, 11 11, 10 11, 10 10))\n")));
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   mm::Runtime::run(3, mvio::sim::MachineModel::comet(4), [&](mm::Comm& comm) {
     mc::OverlayConfig cfg;
     cfg.framework.gridCells = 64;
     cfg.outputPath = "one_coverage.bin";
-    mc::DatasetHandle r{"one.wkt", &parser, {}};
+    mc::DatasetHandle r{"one.wkt", wkt};
     const auto st = mc::gridCoverageOverlay(comm, *vol, r, nullptr, cfg);
     if (comm.rank() == 0) {
       EXPECT_NEAR(st.totalR, 1.0, 1e-9);

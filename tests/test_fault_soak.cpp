@@ -57,7 +57,7 @@ std::uint64_t envU64(const char* name, std::uint64_t fallback) {
 /// the deterministic recovery fixture).
 struct SoakFixture {
   std::shared_ptr<mp::Volume> volume;
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   SoakFixture() {
     mp::LustreParams params;
@@ -172,8 +172,8 @@ JoinResult runJoin(SoakFixture& fx, const std::function<void(mc::FrameworkConfig
   mm::Runtime::run(kRanks, ms::MachineModel::comet(8), [&](mm::Comm& comm) {
     mc::JoinConfig cfg;
     tweak(cfg.framework);
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     std::vector<mc::JoinPair> local;
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
     std::lock_guard<std::mutex> lock(mu);
@@ -198,8 +198,8 @@ OverlayResult runOverlay(SoakFixture& fx, const std::string& out,
     mc::OverlayConfig cfg;
     cfg.outputPath = out;
     tweak(cfg.framework);
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     const auto stats = mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
     std::lock_guard<std::mutex> lock(mu);
     if (stats.recovery.died) run.died += 1;
@@ -224,7 +224,7 @@ IndexResult runIndex(SoakFixture& fx, const std::vector<mg::Envelope>& queries,
   mm::Runtime::run(kRanks, ms::MachineModel::comet(8), [&](mm::Comm& comm) {
     mc::IndexingConfig cfg;
     tweak(cfg.framework);
-    mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+    mc::DatasetHandle data{"r.wkt", fx.wkt};
     mc::IndexingStats stats;
     const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg, &stats);
     std::lock_guard<std::mutex> lock(mu);

@@ -384,7 +384,7 @@ namespace {
 /// Both encodings of the same two seeded layers on one volume.
 struct FormatFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   const mc::FormatReader* wkb = mc::FormatRegistry::instance().get("wkb");
 
   FormatFixture() {
@@ -408,11 +408,7 @@ struct FormatFixture {
                                         mc::BoundaryStrategy strategy) const {
     mc::DatasetHandle ds;
     ds.path = std::string(1, which) + (binary ? ".wkb" : ".wkt");
-    if (binary) {
-      ds.format = wkb;
-    } else {
-      ds.parser = &parser;
-    }
+    ds.format = binary ? wkb : wkt;
     ds.partition.strategy = strategy;
     return ds;
   }
@@ -451,6 +447,24 @@ std::vector<mc::JoinPair> runJoin(FormatFixture& fx, const JoinSetup& setup, int
 }
 
 }  // namespace
+
+TEST(FormatIngest, DatasetWithoutFormatIsRejected) {
+  // `format` is the one way a DatasetHandle names its reader: a handle
+  // without one (either layer) must fail cleanly with util::Error on
+  // every rank, before any read.
+  FormatFixture fx;
+  for (const char missing : {'r', 's'}) {
+    SCOPED_TRACE(missing);
+    EXPECT_THROW(mm::Runtime::run(4, mvio::sim::MachineModel::comet(8),
+                                  [&](mm::Comm& comm) {
+                                    mc::DatasetHandle r = fx.layer('r', false, {});
+                                    mc::DatasetHandle s = fx.layer('s', false, {});
+                                    (missing == 'r' ? r : s).format = nullptr;
+                                    (void)mc::spatialJoin(comm, *fx.volume, r, s, {});
+                                  }),
+                 mu::Error);
+  }
+}
 
 TEST(FormatBitIdentity, JoinPairsMatchAcrossFormatsThreadsAndStrategies) {
   FormatFixture fx;
@@ -560,8 +574,7 @@ TEST(FormatBitIdentity, InjectedFailureReplaysWkbChunkLog) {
   setup.tweak = [](mc::JoinConfig& cfg) {
     cfg.framework.stream.checkpointEveryRounds = 2;
     cfg.framework.stream.checkpointDir = "__ck_format";
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   };
   int died = 0;
   const std::vector<mc::JoinPair> recovered = runJoin(fx, setup, &died);

@@ -51,6 +51,7 @@ TEST(Framework, SingleLayerOverVirtualFile) {
   std::string text(store->size(), '\0');
   store->read(0, text.data(), text.size());
   mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   std::uint64_t expected = 0;
   std::uint64_t expectedReplicas = 0;
   std::vector<mg::Geometry> all;
@@ -67,7 +68,7 @@ TEST(Framework, SingleLayerOverVirtualFile) {
     mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
       mc::FrameworkConfig cfg;
       cfg.gridCells = 25;
-      mc::DatasetHandle data{"virt.wkt", &parser, {}};
+      mc::DatasetHandle data{"virt.wkt", wkt};
       data.partition.maxGeometryBytes = 64 << 10;
       const auto stats = mc::runFilterRefine(comm, *vol, data, nullptr, cfg, task);
       cells += stats.cellsOwned;
@@ -105,12 +106,12 @@ TEST(Framework, CsvPointLayer) {
   }
   vol->create("points.csv", std::make_shared<mp::MemoryBackingStore>(csv));
 
-  mc::CsvPointParser parser;
+  const mc::FormatReader* csvFormat = mc::FormatRegistry::instance().get("csv");
   CountTask task;
   mm::Runtime::run(3, mvio::sim::MachineModel::comet(4), [&](mm::Comm& comm) {
     mc::FrameworkConfig cfg;
     cfg.gridCells = 16;
-    mc::DatasetHandle data{"points.csv", &parser, {}};
+    mc::DatasetHandle data{"points.csv", csvFormat};
     (void)mc::runFilterRefine(comm, *vol, data, nullptr, cfg, task);
   });
   // Points never replicate (their MBR overlaps exactly one cell except on
@@ -136,7 +137,7 @@ TEST(Framework, LocatorEnginesAgreeEndToEnd) {
   vol->create("b.wkt", std::make_shared<mp::MemoryBackingStore>(
                            mo::generateWktText(mo::RecordGenerator(spec2), 120)));
 
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   std::array<std::uint64_t, 2> pairs{0, 0};
   for (int engine = 0; engine < 2; ++engine) {
     std::atomic<std::uint64_t> total{0};
@@ -144,8 +145,8 @@ TEST(Framework, LocatorEnginesAgreeEndToEnd) {
       mc::JoinConfig cfg;
       cfg.framework.gridCells = 36;
       cfg.framework.rtreeCellLocator = (engine == 0);
-      mc::DatasetHandle r{"a.wkt", &parser, {}};
-      mc::DatasetHandle s{"b.wkt", &parser, {}};
+      mc::DatasetHandle r{"a.wkt", wkt};
+      mc::DatasetHandle s{"b.wkt", wkt};
       const auto stats = mc::spatialJoin(comm, *vol, r, s, cfg);
       if (comm.rank() == 0) total = stats.globalPairs;
     });
@@ -164,7 +165,7 @@ TEST(Framework, WindowPhasesDoNotChangeResults) {
   vol->create("a.wkt", std::make_shared<mp::MemoryBackingStore>(
                            mo::generateWktText(mo::RecordGenerator(spec), 300)));
 
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   std::array<std::uint64_t, 3> counts{};
   int idx = 0;
   for (int phases : {1, 3, 9}) {
@@ -173,7 +174,7 @@ TEST(Framework, WindowPhasesDoNotChangeResults) {
       mc::FrameworkConfig cfg;
       cfg.gridCells = 49;
       cfg.windowPhases = phases;
-      mc::DatasetHandle data{"a.wkt", &parser, {}};
+      mc::DatasetHandle data{"a.wkt", wkt};
       (void)mc::runFilterRefine(comm, *vol, data, nullptr, cfg, task);
     });
     counts[static_cast<std::size_t>(idx++)] = task.r.load();
@@ -192,6 +193,7 @@ TEST(Framework, Level1ReadsFeedThePipeline) {
   vol->create("a.wkt", std::make_shared<mp::MemoryBackingStore>(text));
 
   mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   std::uint64_t expected = 0;
   parser.parseAll(text, [&](mg::Geometry&&) { ++expected; });
 
@@ -200,7 +202,7 @@ TEST(Framework, Level1ReadsFeedThePipeline) {
   mm::Runtime::run(6, mvio::sim::MachineModel::roger(2), [&](mm::Comm& comm) {
     mc::FrameworkConfig cfg;
     cfg.gridCells = 1;  // single cell: no replication, exact count
-    mc::DatasetHandle data{"a.wkt", &parser, {}};
+    mc::DatasetHandle data{"a.wkt", wkt};
     data.partition.collectiveRead = true;  // Level 1
     const auto stats = mc::runFilterRefine(comm, *vol, data, nullptr, cfg, task);
     const auto ph = stats.phases.maxAcross(comm);

@@ -25,6 +25,7 @@ struct Fixture {
   std::shared_ptr<mp::Volume> volume;
   std::vector<mg::Geometry> reference;
   mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   explicit Fixture(std::uint64_t seed, std::uint64_t count, mo::DatasetId id = mo::DatasetId::kRoadNetwork) {
     mp::LustreParams params;
@@ -63,7 +64,7 @@ TEST(DistributedIndex, GlobalQueryCountsMatchBruteForce) {
     mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
       mc::IndexingConfig cfg;
       cfg.framework.gridCells = 49;
-      mc::DatasetHandle data{"data.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"data.wkt", fx.wkt};
       mc::IndexingStats stats;
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg, &stats);
       EXPECT_GT(stats.globalGeometries, 0u);
@@ -86,7 +87,7 @@ TEST(DistributedIndex, FullCoverageQueryFindsEverything) {
   mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
     mc::IndexingConfig cfg;
     cfg.framework.gridCells = 25;
-    mc::DatasetHandle data{"data.wkt", &fx.parser, {}};
+    mc::DatasetHandle data{"data.wkt", fx.wkt};
     const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg);
     total += index.queryCount(mg::Envelope(-100, -100, 100, 100));
   });
@@ -98,7 +99,7 @@ TEST(DistributedIndex, PhaseBreakdownPopulated) {
   mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
     mc::IndexingConfig cfg;
     cfg.framework.gridCells = 64;
-    mc::DatasetHandle data{"data.wkt", &fx.parser, {}};
+    mc::DatasetHandle data{"data.wkt", fx.wkt};
     mc::IndexingStats stats;
     (void)mc::buildDistributedIndex(comm, *fx.volume, data, cfg, &stats);
     const auto maxPhases = stats.phases.maxAcross(comm);
@@ -124,7 +125,7 @@ TEST(BatchRangeQuery, CountsMatchBruteForce) {
     mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
       mc::RangeQueryConfig cfg;
       cfg.framework.gridCells = 36;
-      mc::DatasetHandle data{"data.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"data.wkt", fx.wkt};
       const auto counts = mc::batchRangeQuery(comm, *fx.volume, data, queries, cfg);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);

@@ -28,7 +28,7 @@ namespace {
 struct JoinFixture {
   std::shared_ptr<mp::Volume> volume;
   std::vector<mg::Geometry> geomsR, geomsS;
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   JoinFixture(std::uint64_t seed, std::uint64_t countR, std::uint64_t countS) {
     mp::LustreParams params;
@@ -77,8 +77,8 @@ std::vector<mc::JoinPair> runDistributedJoin(JoinFixture& fx, int nprocs, int gr
     cfg.framework.gridCells = gridCells;
     cfg.framework.windowPhases = phases;
     cfg.predicate = predicate;
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     r.partition.strategy = strategy;
     s.partition.strategy = strategy;
     std::vector<mc::JoinPair> local;

@@ -18,6 +18,7 @@
 #include <map>
 #include <mutex>
 #include <random>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -334,6 +335,56 @@ TEST(Phases, MaxAcrossMatchesFieldwiseMax) {
   EXPECT_EQ(reduced.reclaimedBytes, expected.reclaimedBytes);
 }
 
+TEST(Phases, FieldTableDrivesTotalAndReportOrder) {
+  // kPhaseFields is the one list of PhaseBreakdown fields: each name once,
+  // exactly one member pointer per entry, time fields before counters, and
+  // only time fields summing into total().
+  std::set<std::string> names;
+  bool sawCounter = false;
+  for (const mc::PhaseField& f : mc::kPhaseFields) {
+    EXPECT_TRUE(names.insert(f.name).second) << "listed twice: " << f.name;
+    EXPECT_NE(f.seconds == nullptr, f.count == nullptr) << f.name;
+    if (f.count != nullptr) {
+      sawCounter = true;
+      EXPECT_FALSE(f.inTotal) << f.name;
+    } else {
+      EXPECT_FALSE(sawCounter) << "time field after a counter: " << f.name;
+    }
+  }
+  EXPECT_EQ(names.size(), 23u);
+
+  // total() adds the timeline phases left to right: bit-exact against the
+  // spelled-out sum, with the concurrent/alternative views excluded.
+  mc::PhaseBreakdown p;
+  p.read = 0.1;
+  p.parse = 0.7;
+  p.partition = 1e-9;
+  p.comm = 3.3;
+  p.compute = 0.013;
+  p.spill = 2.9;
+  p.migrate = 1e-5;
+  p.checkpoint = 0.31;
+  p.recovery = 7.77;
+  p.compaction = 0.0123;
+  p.overlapped = 100;
+  p.workerCpu = 200;
+  p.workerCritical = 300;
+  EXPECT_EQ(p.total(), p.read + p.parse + p.partition + p.comm + p.compute + p.spill + p.migrate +
+                           p.checkpoint + p.recovery + p.compaction);
+
+  // The report emits the time fields, then "total", then the counters.
+  ob::RunReport report;
+  report.hasPhases = true;
+  report.phases = p;
+  const std::string json = report.toJson();
+  const auto at = [&](const char* key) { return json.find("\"" + std::string(key) + "\":"); };
+  ASSERT_NE(at("total"), std::string::npos);
+  EXPECT_LT(at("compaction"), at("overlapped"));
+  EXPECT_LT(at("workerCritical"), at("total"));
+  EXPECT_LT(at("total"), at("rounds"));
+  EXPECT_LT(at("compactionBytes"), at("reclaimedBytes"));
+}
+
 // ---- Concurrent emission (tsan preset runs this via -L threads) ----------
 
 TEST(TraceThreads, ConcurrentLaneEmissionIsRaceFree) {
@@ -419,8 +470,7 @@ mc::JoinConfig fullPipelineConfig(const std::string& ckptDir) {
   cfg.framework.stream.checkpointEveryRounds = 1;
   cfg.framework.stream.checkpointDir = ckptDir;
   cfg.framework.stream.compaction.everyEpochs = 1;
-  cfg.framework.failRanks = {2};
-  cfg.framework.killPoint.afterRound = 3;
+  cfg.framework.failSchedule = {{2, 3, 0}};
   return cfg;
 }
 
@@ -438,7 +488,7 @@ TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
   specS.space.world = specR.space.world;
   volume->create("s.wkt", std::make_shared<mp::MemoryBackingStore>(
                               mo::generateWktText(mo::RecordGenerator(specS), 800)));
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   const std::string tracePath = tempPath("trace_join.json");
   std::array<std::vector<mc::JoinPair>, 2> pairs;
@@ -455,8 +505,8 @@ TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
           fullPipelineConfig(traced ? "__ck_obs_t" : "__ck_obs_u");
       ob::Session session(traced ? ob::TraceConfig::on(1 << 14) : ob::TraceConfig::off(),
                           cfg.framework.threadsPerRank);
-      mc::DatasetHandle r{"r.wkt", &parser, {}};
-      mc::DatasetHandle s{"s.wkt", &parser, {}};
+      mc::DatasetHandle r{"r.wkt", wkt};
+      mc::DatasetHandle s{"s.wkt", wkt};
       std::vector<mc::JoinPair> local;
       const auto stats = mc::spatialJoin(comm, *volume, r, s, cfg, &local);
       const auto reduced = stats.phases.maxAcross(comm);

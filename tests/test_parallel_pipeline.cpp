@@ -229,7 +229,7 @@ namespace {
 /// 4 KB-chunk streaming run executes several data rounds on four ranks.
 struct HybridFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   HybridFixture() {
     mo::SynthSpec specR = mo::datasetSpec(mo::DatasetId::kCemetery, 71);
@@ -266,8 +266,8 @@ JoinOutcome runJoin(HybridFixture& fx, const std::function<void(mc::JoinConfig&)
     mc::JoinConfig cfg;
     cfg.framework.gridCells = 36;
     tweak(cfg);
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     std::vector<mc::JoinPair> local;
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
     std::lock_guard<std::mutex> lock(mu);
@@ -351,8 +351,7 @@ TEST(HybridPipeline, ThreadsComposeWithRebalanceAndInjectedFailure) {
     cfg.framework.stream.checkpointDir = "__ck_threads";
     cfg.framework.threadsPerRank = 4;
     cfg.framework.rebalanceCells = true;
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   });
   EXPECT_EQ(composed.died, 1);
   EXPECT_EQ(composed.pairs, base.pairs)
@@ -377,8 +376,8 @@ TEST(HybridPipeline, OverlayRasterBitIdenticalWithThreads) {
         cfg.framework.stream.overlapRounds = true;
         cfg.framework.threadsPerRank = 4;
       }
-      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
       const auto stats = mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
       std::lock_guard<std::mutex> lock(mu);
       totalsR[static_cast<std::size_t>(mode)] = stats.totalR;
@@ -408,7 +407,7 @@ TEST(HybridPipeline, IndexShardsBitIdenticalWithThreadsAndBudgetHolds) {
         cfg.framework.threadsPerRank = 4;
         cfg.framework.stream.overlapRounds = true;
       }
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       mc::IndexingStats stats;
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg, &stats);
       std::string bytes;
@@ -447,7 +446,7 @@ TEST(HybridPipeline, RangeQueryCountsMatchAcrossThreads) {
         cfg.framework.stream.overlapRounds = true;
         cfg.framework.threadsPerRank = 4;
       }
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       const auto got = mc::batchRangeQuery(comm, *fx.volume, data, queries, cfg);
       if (comm.rank() == 0) counts[static_cast<std::size_t>(mode)] = got;
     });

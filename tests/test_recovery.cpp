@@ -89,7 +89,7 @@ std::string fileBytes(mp::Volume& volume, const std::string& name) {
 /// with sealed epochs both behind and ahead of it.
 struct RecoveryFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   RecoveryFixture() {
     mo::SynthSpec specR = mo::datasetSpec(mo::DatasetId::kCemetery, 61);
@@ -252,8 +252,8 @@ TEST(AdaptiveRebalance, SkipsWhenImbalanceBelowThreshold) {
     cfg.framework.gridCells = 36;
     cfg.framework.rebalanceCells = true;
     cfg.framework.rebalanceThreshold = 1e9;
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg);
     if (stats.balance.skipped) skipped += 1;
     if (stats.balance.imbalance >= 1.0) measured += 1;
@@ -271,8 +271,8 @@ TEST(AdaptiveRebalance, SkipsWhenImbalanceBelowThreshold) {
     mc::JoinConfig cfg;
     cfg.framework.gridCells = 36;
     cfg.framework.rebalanceCells = true;
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg);
     if (!stats.balance.skipped && stats.balance.imbalance >= 1.0) ran += 1;
   });
@@ -303,8 +303,8 @@ JoinRun runJoin(RecoveryFixture& fx, const std::function<void(mc::JoinConfig&)>&
     mc::JoinConfig cfg;
     cfg.framework.gridCells = 36;
     tweak(cfg);
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
     std::vector<mc::JoinPair> local;
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
     std::lock_guard<std::mutex> lock(mu);
@@ -354,8 +354,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   // deliveries to the dead rank is unsealed and must come back via replay).
   const JoinRun killed = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_k1");
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   });
   EXPECT_EQ(killed.died, 1);
   EXPECT_EQ(killed.recovered, 3);
@@ -368,8 +367,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   // Kill two ranks (k = 2), later in the stream.
   const JoinRun killed2 = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_k2");
-    cfg.framework.failRanks = {1, 3};
-    cfg.framework.killPoint.afterRound = 5;
+    cfg.framework.failSchedule = {{1, 5, 0}, {3, 5, 0}};
   });
   EXPECT_EQ(killed2.died, 2);
   EXPECT_EQ(killed2.recovered, 2);
@@ -382,8 +380,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   const JoinRun torn = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_torn_e2e");
     cfg.framework.stream.tearEpochSeal = 2;
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 5;
+    cfg.framework.failSchedule = {{2, 5, 0}};
   });
   EXPECT_EQ(torn.recovered, 3);
   EXPECT_EQ(torn.epochUsed, 1u) << "torn epoch 2 must be skipped in favour of epoch 1";
@@ -395,8 +392,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   // survivors (world-rank translation of the LPT map).
   const JoinRun rebalanced = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_rb");
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
     cfg.framework.rebalanceCells = true;
   });
   EXPECT_EQ(rebalanced.recovered, 3);
@@ -421,11 +417,10 @@ TEST(FailureRecovery, OverlayRasterBitIdenticalWhenRankZeroDies) {
         // Rank 0 dies: epoch seals it wrote pre-kill must still commit,
         // and the survivors' collective write re-roots on the shrunk
         // communicator.
-        cfg.framework.failRanks = {0};
-        cfg.framework.killPoint.afterRound = 4;
+        cfg.framework.failSchedule = {{0, 4, 0}};
       }
-      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
       const auto stats = mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
       std::lock_guard<std::mutex> lock(mu);
       if (stats.recovery.died) died[static_cast<std::size_t>(mode)] += 1;
@@ -456,10 +451,9 @@ TEST(FailureRecovery, SingleLayerIndexMatchesAfterKill) {
       cfg.framework.gridCells = 49;
       if (mode == 1) {
         cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_idx");
-        cfg.framework.failRanks = {1, 3};
-        cfg.framework.killPoint.afterRound = 3;
+        cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 0}};
       }
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       mc::IndexingStats stats;
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg, &stats);
       if (stats.recovery.died) {
@@ -567,6 +561,38 @@ TEST(CascadingFailure, LaterRoundWaveComposesWithRebalance) {
   EXPECT_EQ(waves.pairs, base.pairs);
 }
 
+// ---- Fault-schedule input checks -----------------------------------------
+
+TEST(FaultSchedule, RejectsMalformedSchedules) {
+  RecoveryFixture fx;
+  // Each schedule is malformed on its own; runFilterRefine must refuse it
+  // with util::Error on every rank, for the named reason, instead of
+  // hanging or killing anyone.
+  int run = 0;
+  const auto rejects = [&](const std::string& reason,
+                           const std::vector<mvio::sim::FailureEvent>& schedule,
+                           std::uint64_t checkpointEvery = 2) {
+    SCOPED_TRACE(reason);
+    const std::string dir = "__fs_bad" + std::to_string(run++);
+    const auto tweak = [&](mc::JoinConfig& cfg) {
+      cfg.framework.stream = RecoveryFixture::streamedConfig(checkpointEvery, dir);
+      cfg.framework.failSchedule = schedule;
+    };
+    EXPECT_THROW(
+        try { runJoin(fx, tweak); } catch (const mvio::util::Error& e) {
+          EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+          throw;
+        },
+        mvio::util::Error);
+  };
+  rejects("kills the same rank twice", {{1, 3, 0}, {1, 5, 0}});
+  rejects("at least one survivor", {{0, 3, 0}, {1, 3, 0}, {2, 3, 0}, {3, 3, 0}});
+  rejects("requires StreamConfig::checkpointEveryRounds", {{2, 3, 0}}, /*checkpointEvery=*/0);
+  rejects("without a kill round", {{2, 0, 0}});
+  rejects("beyond the data-round schedule", {{2, 1000, 0}});
+  rejects("first failure wave", {{2, 3, 1}});
+}
+
 // ---- Budget-bounded migration --------------------------------------------
 
 TEST(AdaptiveRebalance, BudgetBoundedMigrationKeepsResults) {
@@ -603,7 +629,6 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     cfg.everyRounds = 1;
     cfg.dir = "__ck_gc";
     cfg.compactEveryEpochs = 2;
-    cfg.compactKeepEpochs = 1;
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ckpt.setRoundSchedule(4, 0);
     for (int i = 0; i < 4; ++i) ckpt.logChunk(0, batch);

@@ -74,7 +74,7 @@ std::shared_ptr<mp::Volume> lustreVolume(int nodes = 8) {
 /// everything; a few scattered records stretch the global MBR.
 struct SkewedFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
-  mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   SkewedFixture() {
     mvio::util::Rng rng(77);
@@ -301,8 +301,8 @@ TEST(ShardTransport, OwnershipMapConsistentAndSkewReduced) {
     cfg.gridCells = 64;
     cfg.rebalanceCells = true;
     CountTask task;
-    mc::DatasetHandle r{"skew_r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"skew_s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"skew_r.wkt", fx.wkt};
+    mc::DatasetHandle s{"skew_s.wkt", fx.wkt};
     const auto fw = mc::runFilterRefine(comm, *fx.volume, r, &s, cfg, task);
     refined += task.n;
     std::lock_guard<std::mutex> lock(mu);
@@ -352,8 +352,8 @@ TEST(ShardTransport, RebalancedJoinMatchesBaseline) {
         cfg.framework.stream.chunkBytes = 4 << 10;
         cfg.framework.stream.memoryBudget = 16 << 10;
       }
-      mc::DatasetHandle r{"skew_r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"skew_s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"skew_r.wkt", fx.wkt};
+      mc::DatasetHandle s{"skew_s.wkt", fx.wkt};
       std::vector<mc::JoinPair> local;
       const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
       wireBytes[static_cast<std::size_t>(mode)] += stats.balance.transport.bytesSent;
@@ -385,7 +385,7 @@ TEST(ShardTransport, RebalancedIndexAnswersIdentically) {
       mc::IndexingConfig cfg;
       cfg.framework.gridCells = 64;
       cfg.framework.rebalanceCells = mode == 1;
-      mc::DatasetHandle data{"skew_r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"skew_r.wkt", fx.wkt};
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const std::uint64_t local = index.queryCount(queries[q]);

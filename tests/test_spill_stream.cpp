@@ -418,6 +418,7 @@ namespace {
 struct TwoLayerFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
   mc::WktParser parser;
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   TwoLayerFixture() {
     // Small-record datasets (every record well under the 4 KB chunk —
@@ -456,8 +457,8 @@ TEST(StreamingPipeline, JoinMatchesOneShotAndSpills) {
       mc::JoinConfig cfg;
       cfg.framework.gridCells = 36;
       if (mode == 1) cfg.framework.stream = TwoLayerFixture::streamedConfig();
-      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
       std::vector<mc::JoinPair> local;
       const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
       std::lock_guard<std::mutex> lock(mu);
@@ -486,8 +487,8 @@ TEST(StreamingPipeline, SpillStatsReportBytes) {
     mc::JoinConfig cfg;
     cfg.framework.gridCells = 25;
     cfg.framework.stream = TwoLayerFixture::streamedConfig();
-    mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-    mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
 
     // spatialJoin exposes only phase timings; run the framework directly
     // for the byte counters.
@@ -531,7 +532,7 @@ TEST(StreamingPipeline, RefinePeakStaysWithinBudget) {
           n += r.size();
         }
       } task;
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       const auto fw = mc::runFilterRefine(comm, *fx.volume, data, nullptr, cfg, task);
       records += task.n;
       if (mode == 1) {
@@ -559,7 +560,7 @@ TEST(StreamingPipeline, IndexMatchesOneShot) {
       mc::IndexingConfig cfg;
       cfg.framework.gridCells = 49;
       if (mode == 1) cfg.framework.stream = TwoLayerFixture::streamedConfig();
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       const auto index = mc::buildDistributedIndex(comm, *fx.volume, data, cfg);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const std::uint64_t local = index.queryCount(queries[q]);
@@ -585,8 +586,8 @@ TEST(StreamingPipeline, OverlayOutputBitIdentical) {
       cfg.framework.gridCells = 36;
       cfg.outputPath = out;
       if (mode == 1) cfg.framework.stream = TwoLayerFixture::streamedConfig();
-      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
       const auto stats = mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);
@@ -622,8 +623,8 @@ TEST(StreamingPipeline, PfsPricedSpillKeepsResultsAndChargesTime) {
       cfg.framework.gridCells = 36;
       cfg.framework.stream = TwoLayerFixture::streamedConfig();
       cfg.framework.stream.spillOnPfs = mode == 1;
-      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
-      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
       std::vector<mc::JoinPair> local;
       const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
       if (stats.phases.spill > 0) ranksCharged[static_cast<std::size_t>(mode)] += 1;
@@ -663,7 +664,7 @@ TEST(StreamingPipeline, ChunkedReadCountsMatchOneShot) {
           n += r.size();
         }
       } task;
-      mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle data{"r.wkt", fx.wkt};
       data.partition.strategy = strategy;
       data.partition.maxGeometryBytes = 2 << 10;  // halo smaller than the chunk
       const auto stats = mc::runFilterRefine(comm, *fx.volume, data, nullptr, cfg, task);
