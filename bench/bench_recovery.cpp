@@ -1,23 +1,25 @@
 // Checkpoint/recovery sweep (DESIGN.md §9).
 //
 // Table 1 — checkpoint overhead vs StreamConfig::checkpointEveryRounds:
-// the chunk log is a fixed write-ahead cost once checkpointing is on;
-// epoch deltas add bytes per sealed epoch, so tighter intervals write
-// more durable bytes and spend more checkpoint time while every other
-// column stays flat. Results must be identical on every row.
+// the chunk log is one small per-rank manifest of input ranges and text
+// checksums (the input itself is never copied); epoch deltas add bytes
+// per sealed epoch, so tighter intervals write more durable bytes and
+// spend more checkpoint time while every other column stays flat.
+// Results must be identical on every row.
 //
 // Table 2 — recovery cost vs kill round at a fixed interval: a later
 // kill has more sealed epochs behind it, so fewer rounds replay from the
-// chunk log; a kill right after a seal replays the least. Join results
+// chunk log (re-reading and re-parsing the logged input ranges); a kill
+// right after a seal replays the least. Join results
 // must be identical to the failure-free baseline in every row — the
 // bit-identity the recovery tests assert, priced here.
 //
 // Table 3 — elasticity (DESIGN.md §11): the same kill schedule under the
 // PR-5 recovery path (full replay, no GC), sharded replay alone, and
 // sharded replay + checkpoint GC/epoch compaction. Sharding divides the
-// aggregate chunk-log reads across the survivors; compaction folds the
-// delta tail into one base and reclaims durable bytes — recovery bytes
-// must drop strictly, pairs must not change.
+// aggregate replay re-reads of the input across the survivors;
+// compaction folds the delta tail into one base and reclaims durable
+// bytes — recovery bytes must drop strictly, pairs must not change.
 
 #include <mutex>
 
@@ -158,6 +160,6 @@ int main() {
   std::printf("note: pairs must be identical on every row of all three tables. Durable\n"
               "checkpoint bytes grow as the epoch interval shrinks; replayed rounds shrink as\n"
               "the kill point moves past more sealed epochs; sharding divides replay reads\n"
-              "across survivors and compaction reclaims the folded delta + chunk history.\n");
+              "across survivors and compaction reclaims the folded delta history.\n");
   return 0;
 }

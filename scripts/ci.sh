@@ -28,7 +28,10 @@
 # gates the reports against the committed bench/baselines/*.json.
 #
 # Usage: scripts/ci.sh [preset...]   (default: "default asan tsan")
-# Useful subsets once built: ctest -L recovery / -L mpi / -L threads /
+# Useful subsets once built: ctest -L recovery (every test that touches
+# recovery/ or injects failures through failSchedule: test_recovery,
+# test_fault_soak, test_format_ingest, test_adaptive_partition, test_obs,
+# test_parallel_pipeline, test_codec_fuzz) / -L mpi / -L threads /
 # -L soak / -L obs.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -172,6 +172,10 @@ bool PartitionReader::stepMessage(std::string& out) {
   }
 
   // Assemble this iteration's text: predecessor fragment + own records.
+  // Either fragment is the tail of the block ending at `start` (rank 0's
+  // carry: rank N-1's block of the previous iteration), so the text is
+  // the one file range [start - fragment, start + keep).
+  const std::uint64_t fragmentLen = rank == 0 ? carry_.size() : received.size();
   if (rank == 0) {
     out.append(carry_);
     carry_ = std::move(received);
@@ -179,6 +183,9 @@ bool PartitionReader::stepMessage(std::string& out) {
     out.append(received);
   }
   out.append(keep);
+  if (fragmentLen + keep.size() > 0) {
+    ranges_.push_back({start - fragmentLen, fragmentLen + keep.size()});
+  }
   if (lastIteration) MVIO_CHECK(carry_.empty() || rank != 0, "unconsumed carry fragment");
   return true;
 }
@@ -263,11 +270,13 @@ bool PartitionReader::stepOverlap(std::string& out) {
 
   out.append(buf_.data() + (firstStart - readStart),
              static_cast<std::size_t>(keepEndExclusive - firstStart));
+  ranges_.push_back({firstStart, keepEndExclusive - firstStart});
   return true;
 }
 
 bool PartitionReader::next(std::string& text) {
   text.clear();
+  ranges_.clear();
   if (iter_ >= iterations_) return false;
 
   if (!streaming_) {

@@ -52,6 +52,14 @@ struct PartitionConfig {
   char delimiter = '\n';
 };
 
+/// A byte range [offset, offset + length) of the input file.
+struct FileRange {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+
+  friend bool operator==(const FileRange&, const FileRange&) = default;
+};
+
 /// Per-rank outcome of a partitioned read.
 struct PartitionResult {
   /// This rank's complete records (delimiter-separated, possibly with a
@@ -96,6 +104,16 @@ class PartitionReader {
   /// false once the stream is exhausted — on the same call on every rank.
   bool next(std::string& text);
 
+  /// The input-file byte ranges the last next() call's text was cut
+  /// from, in text order: reading them back and concatenating them
+  /// reproduces the text exactly. kMessage yields one range per
+  /// iteration — the predecessor's fragment (rank 0: the carried one) is
+  /// adjacent to this rank's own prefix in the file; kOverlap yields
+  /// [first record start, end of the record spanning the block end). The
+  /// one-shot path yields one range per iteration that kept any bytes;
+  /// empty text has no ranges.
+  [[nodiscard]] const std::vector<FileRange>& lastRanges() const { return ranges_; }
+
   /// Number of next() calls that return true; identical on every rank.
   [[nodiscard]] std::uint64_t chunkCount() const { return streaming_ ? iterations_ : 1; }
 
@@ -118,6 +136,7 @@ class PartitionReader {
   std::vector<char> buf_;
   std::vector<char> recvBuf_;  ///< kMessage: predecessor-fragment landing area
   std::string carry_;          ///< kMessage rank 0: fragment for the next iteration
+  std::vector<FileRange> ranges_;  ///< file ranges of the last next() call's text
   PartitionResult result_;
 };
 

@@ -207,8 +207,9 @@ struct PilotSampler {
 /// straight into a per-chunk batch (no per-record Geometry objects),
 /// staged for the exchange rounds. Accumulates the layer's local MBR for
 /// grid construction along the way. With checkpointing enabled every
-/// parsed chunk is also written to the durable chunk log — the replay
-/// source recovery re-derives lost rounds from.
+/// chunk's input-file ranges and text checksum go to the chunk log — the
+/// replay source recovery re-derives lost rounds from by re-reading the
+/// input.
 ///
 /// With a worker pool (threadsPerRank > 1) the chunk text is parsed in
 /// parallel record-boundary slices and the clock is charged the critical
@@ -256,7 +257,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
     }
     localBounds.expandToInclude(chunk.bounds());
     if (pilot != nullptr) pilot->observe(chunk);
-    ckpt.logChunk(layer, chunk);
+    ckpt.logChunk(layer, reader.lastRanges(), text);
     stage.push(std::move(chunk));
   }
   ioStats = reader.counters();
@@ -557,8 +558,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // then layer S's — and recovery replays against the same schedule.
   const std::uint64_t roundsR = allreduceMaxU64(comm, stageR.pending());
   const std::uint64_t roundsS = s != nullptr ? allreduceMaxU64(comm, stageS.pending()) : 0;
-  // The agreed schedule lets compaction map GC'd rounds to chunk blobs.
-  ckpt.setRoundSchedule(roundsR, roundsS);
   if (injecting) {
     MVIO_CHECK(schedule.back().afterRound <= roundsR + roundsS,
                "kill point lies beyond the data-round schedule");
@@ -741,6 +740,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
           ctx.deliveredRound = priorOwner.empty() ? firstKillRound : roundsR + roundsS;
           ctx.roundsPerLayer[0] = roundsR;
           ctx.roundsPerLayer[1] = roundsS;
+          ctx.datasets[0] = &r;
+          ctx.datasets[1] = s;
           ctx.grid = &grid;
           ctx.map = &map;
           ctx.locator = locator ? &*locator : nullptr;

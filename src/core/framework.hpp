@@ -68,9 +68,8 @@ struct DatasetHandle {
 /// every `everyEpochs`-th *valid* (untorn) seal E each rank folds its
 /// delta shards for epochs `oldBase+1 .. E-1` — plus any previous base —
 /// into one checksummed base checkpoint, commits it by writing a
-/// `base.manifest`, and then garbage-collects the folded delta shards,
-/// the superseded base, and the ingest chunk blobs for every round the
-/// new base covers. Recovery loads one base + the bounded delta tail
+/// `base.manifest`, and then garbage-collects the folded delta shards and
+/// the superseded base. Recovery loads one base + the bounded delta tail
 /// instead of scanning the full epoch history; the per-rank epoch
 /// manifests and global seals are kept (they are tiny and the seal scan
 /// validates against them). Bytes written by the fold land in
@@ -113,8 +112,9 @@ struct StreamConfig {
 
   // ---- Checkpoint/recovery (DESIGN.md §9) -----------------------------
   /// Seal a durable epoch checkpoint every N exchange data rounds
-  /// (0 = no checkpoints). When set, each parsed chunk is also written to
-  /// a durable per-rank chunk log at ingest time (the replay source), and
+  /// (0 = no checkpoints). When set, each chunk's input-file byte ranges
+  /// and text checksum go to a durable per-rank chunk log at ingest time
+  /// (the replay source: recovery re-reads and re-parses them), and
   /// at every boundary each rank persists the records that arrived since
   /// the previous epoch as BatchShard blobs plus a per-rank manifest;
   /// rank 0 then seals the epoch with a checksummed global manifest.
@@ -134,7 +134,7 @@ struct StreamConfig {
   /// Replay strategy after a failure: when true (default) the survivors
   /// split the unsealed chunk log by source rank and exchange re-projected
   /// records (replay read volume O(log) in aggregate); when false every
-  /// survivor reads all ranks' logs and filters locally (the PR-5
+  /// survivor replays all ranks' logs and filters locally (the PR-5
   /// communication-free path, O(ranks·log) reads — kept as the
   /// equivalence reference). Results are bit-identical either way.
   bool shardedReplay = true;

@@ -13,8 +13,12 @@
 //    already queued on the OST, giving the mild post-peak decline the
 //    paper observes at 72 nodes.
 //
-// Stripe placement: stripe s of a file lives on OST (firstOst + s) mod
-// stripeCount, matching Lustre's round-robin layout.
+// Stripe placement: stripe s of a file lives on OST s mod stripeCount
+// (LustreModel::read). There is no per-file starting OST, so every file
+// uses OSTs 0..stripeCount-1 and stripe 0 of every file is on OST 0 —
+// including every blob pfs::SpillPricer::onVolume prices, since it prices
+// each blob at offset 0. Real Lustre picks a starting OST per file and
+// stripes round-robin from it.
 
 #include <mutex>
 #include <vector>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/exchange.hpp"
+#include "core/framework.hpp"
 #include "core/partition_map.hpp"
 #include "geom/batch_shard.hpp"
 #include "obs/metrics.hpp"
@@ -27,10 +28,11 @@ constexpr std::uint32_t kVersion = 1;
 /// (length-prefixed) between the manifest checksums and the trailing
 /// checksum. The other blob codecs are unchanged and keep kVersion.
 constexpr std::uint32_t kSealVersion = 2;
+/// Ingest-manifest version: v2 logs each chunk's input-file ranges, text
+/// length and text checksum.
+constexpr std::uint32_t kIngestVersion = 2;
 
-std::string chunkName(int layer, std::uint64_t chunk) {
-  return std::string("ing.") + layerTag(layer) + "." + std::to_string(chunk);
-}
+const char* const kIngestManifestName = "ing.manifest";
 
 std::string baseManifestName() { return "base.manifest"; }
 
@@ -84,9 +86,19 @@ std::string baseShardName(std::uint64_t baseEpoch, int layer, std::uint64_t shar
 std::string encodeIngestManifest(const IngestLog& log) {
   std::string m;
   putScalar<std::uint32_t>(m, kIngestMagic);
-  putScalar<std::uint32_t>(m, kVersion);
-  putScalar<std::uint64_t>(m, log.chunks[0]);
-  putScalar<std::uint64_t>(m, log.chunks[1]);
+  putScalar<std::uint32_t>(m, kIngestVersion);
+  for (int layer = 0; layer < 2; ++layer) {
+    putScalar<std::uint64_t>(m, log.chunks[layer].size());
+    for (const LoggedChunk& c : log.chunks[layer]) {
+      putScalar<std::uint64_t>(m, c.bytes);
+      putScalar<std::uint64_t>(m, c.checksum);
+      putScalar<std::uint64_t>(m, c.ranges.size());
+      for (const core::FileRange& r : c.ranges) {
+        putScalar<std::uint64_t>(m, r.offset);
+        putScalar<std::uint64_t>(m, r.length);
+      }
+    }
+  }
   putScalar<std::uint64_t>(m, fnv1a(m.data(), m.size()));
   return m;
 }
@@ -178,28 +190,23 @@ void CheckpointCoordinator::chargeCompact(std::uint64_t bytes, bool isWrite) {
   if (isWrite) phases_->compactionBytes += bytes;
 }
 
-void CheckpointCoordinator::setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS) {
-  roundsR_ = roundsR;
-  roundsS_ = roundsS;
-  scheduleKnown_ = true;
-}
-
-void CheckpointCoordinator::logChunk(int layer, const geom::GeometryBatch& chunk) {
+void CheckpointCoordinator::logChunk(int layer, const std::vector<core::FileRange>& ranges,
+                                     std::string_view text) {
   if (!enabled()) return;
-  std::string blob;
-  blob.reserve(geom::shardEncodedSize(chunk, 0, chunk.size()));
-  geom::encodeShard(chunk, blob);
-  chunkBytes_[layer].push_back(blob.size());
-  put(chunkName(layer, chunks_[layer]), std::move(blob));
-  chunks_[layer] += 1;
+  LoggedChunk c;
+  c.bytes = text.size();
+  c.checksum = util::wordHash(text);
+  c.ranges = ranges;
+  std::uint64_t covered = 0;
+  for (const core::FileRange& r : ranges) covered += r.length;
+  MVIO_CHECK(covered == c.bytes, "chunk log: file ranges do not cover the chunk text");
+  ingest_.chunks[layer].push_back(std::move(c));
 }
 
 void CheckpointCoordinator::sealIngest() {
   if (!enabled()) return;
-  IngestLog log;
-  log.chunks[0] = chunks_[0];
-  log.chunks[1] = chunks_[1];
-  put("ing.manifest", encodeIngestManifest(log));
+  put(kIngestManifestName, encodeIngestManifest(ingest_));
+  ingest_ = IngestLog();
 }
 
 void CheckpointCoordinator::noteRound(int layer, const geom::GeometryBatch& delivered) {
@@ -348,10 +355,10 @@ void CheckpointCoordinator::maybeCompact() {
   chargeCompact(m.size(), /*isWrite=*/true);
   rankStore_.put(baseManifestName(), std::move(m));
 
-  // 3. GC everything the new base supersedes: the old base, the folded
+  // 3. GC everything the new base supersedes: the old base and the folded
   // delta shards (their manifests stay — the seal scan validates against
-  // them), and the chunk-log rounds the base covers. Deletes are metadata
-  // operations: no time is charged, only the reclaimed volume counted.
+  // them). Deletes are metadata operations: no time is charged, only the
+  // reclaimed volume counted.
   std::uint64_t reclaimed = 0;
   if (oldBase.has_value()) {
     for (int layer = 0; layer < 2; ++layer) {
@@ -375,21 +382,6 @@ void CheckpointCoordinator::maybeCompact() {
         }
       }
     }
-  }
-  if (scheduleKnown_) {
-    const std::uint64_t coveredRounds =
-        std::min(next.roundsCovered, roundsR_ + roundsS_);
-    for (std::uint64_t t = truncatedRounds_ + 1; t <= coveredRounds; ++t) {
-      const int layer = t <= roundsR_ ? 0 : 1;
-      const std::uint64_t idx = layer == 0 ? t - 1 : t - roundsR_ - 1;
-      if (idx >= chunkBytes_[layer].size()) continue;  // this rank logged fewer chunks
-      const std::string name = chunkName(layer, idx);
-      if (rankStore_.contains(name)) {
-        reclaimed += chunkBytes_[layer][idx];
-        rankStore_.remove(name);
-      }
-    }
-    truncatedRounds_ = std::max(truncatedRounds_, coveredRounds);
   }
   phases_->reclaimedBytes += reclaimed;
   baseEpoch_ = target;
@@ -604,29 +596,80 @@ std::uint64_t loadEpochDelta(pfs::Volume& volume, const std::string& dir, int wo
 IngestLog readIngestLog(pfs::Volume& volume, const std::string& dir, int worldRank,
                         std::uint64_t* bytesRead) {
   std::string blob;
-  MVIO_CHECK(fetchIfPresent(volume, rankPrefix(dir, worldRank), "ing.manifest", blob, bytesRead),
-             "recovery: rank " + std::to_string(worldRank) + " has no ingest manifest");
-  constexpr std::size_t kBytes = 4 + 4 + 8 + 8 + 8;
-  MVIO_CHECK(blob.size() == kBytes &&
-                 fnv1a(blob.data(), kBytes - 8) == readScalar<std::uint64_t>(blob.data() + kBytes - 8) &&
+  MVIO_CHECK(
+      fetchIfPresent(volume, rankPrefix(dir, worldRank), kIngestManifestName, blob, bytesRead),
+      "recovery: rank " + std::to_string(worldRank) + " has no ingest manifest");
+  const std::string corrupt = "recovery: corrupt ingest manifest for rank " +
+                              std::to_string(worldRank);
+  MVIO_CHECK(blob.size() >= 4 + 4 + 8 &&
+                 fnv1a(blob.data(), blob.size() - 8) ==
+                     readScalar<std::uint64_t>(blob.data() + blob.size() - 8) &&
                  readScalar<std::uint32_t>(blob.data()) == kIngestMagic &&
-                 readScalar<std::uint32_t>(blob.data() + 4) == kVersion,
-             "recovery: corrupt ingest manifest for rank " + std::to_string(worldRank));
+                 readScalar<std::uint32_t>(blob.data() + 4) == kIngestVersion,
+             corrupt);
+  const char* p = blob.data() + 8;
+  const char* const end = blob.data() + blob.size() - 8;
+  // Every count is checked against the bytes left before anything is
+  // sized from it, so a corrupt count can never drive an allocation.
+  auto take = [&](std::uint64_t& v) {
+    MVIO_CHECK(end - p >= 8, corrupt);
+    v = readScalar<std::uint64_t>(p);
+    p += 8;
+  };
   IngestLog log;
-  log.chunks[0] = readScalar<std::uint64_t>(blob.data() + 8);
-  log.chunks[1] = readScalar<std::uint64_t>(blob.data() + 16);
+  for (int layer = 0; layer < 2; ++layer) {
+    std::uint64_t chunks = 0;
+    take(chunks);
+    MVIO_CHECK(chunks <= static_cast<std::uint64_t>(end - p) / 24, corrupt);
+    log.chunks[layer].resize(static_cast<std::size_t>(chunks));
+    for (LoggedChunk& c : log.chunks[layer]) {
+      std::uint64_t ranges = 0;
+      take(c.bytes);
+      take(c.checksum);
+      take(ranges);
+      MVIO_CHECK(ranges <= static_cast<std::uint64_t>(end - p) / 16, corrupt);
+      c.ranges.resize(static_cast<std::size_t>(ranges));
+      std::uint64_t covered = 0;
+      for (core::FileRange& r : c.ranges) {
+        take(r.offset);
+        take(r.length);
+        MVIO_CHECK(r.length <= c.bytes - covered, corrupt);
+        covered += r.length;
+      }
+      MVIO_CHECK(covered == c.bytes, corrupt);
+    }
+  }
+  MVIO_CHECK(p == end, corrupt);
   return log;
 }
 
-std::uint64_t loadLoggedChunk(pfs::Volume& volume, const std::string& dir, int worldRank,
-                              int layer, std::uint64_t chunk, geom::GeometryBatch& out,
+std::uint64_t loadLoggedChunk(pfs::Volume& volume, const core::DatasetHandle& ds,
+                              const LoggedChunk& chunk, geom::GeometryBatch& out,
                               std::uint64_t* bytesRead) {
-  std::string blob;
-  MVIO_CHECK(fetchIfPresent(volume, rankPrefix(dir, worldRank), chunkName(layer, chunk), blob,
-                            bytesRead),
-             "recovery: missing logged chunk " + chunkName(layer, chunk) + " of rank " +
-                 std::to_string(worldRank));
-  return geom::decodeShard(blob, out);
+  const std::shared_ptr<pfs::FileObject> file = volume.lookup(ds.path);
+  const std::uint64_t fileSize = file->data->size();
+  std::uint64_t covered = 0;
+  for (const core::FileRange& r : chunk.ranges) {
+    MVIO_CHECK(r.offset <= fileSize && r.length <= fileSize - r.offset,
+               "recovery: logged range [" + std::to_string(r.offset) + ", +" +
+                   std::to_string(r.length) + ") lies past the end of " + ds.path + " (" +
+                   std::to_string(fileSize) + " bytes)");
+    covered += r.length;
+  }
+  MVIO_CHECK(covered == chunk.bytes, "recovery: logged ranges do not add up to the chunk length");
+  std::string text(static_cast<std::size_t>(chunk.bytes), '\0');
+  std::uint64_t at = 0;
+  for (const core::FileRange& r : chunk.ranges) {
+    file->data->read(r.offset, text.data() + at, static_cast<std::size_t>(r.length));
+    at += r.length;
+  }
+  if (bytesRead != nullptr) *bytesRead += chunk.bytes;
+  MVIO_CHECK(util::wordHash(text) == chunk.checksum,
+             "recovery: re-read text of " + ds.path +
+                 " does not match its logged checksum (the input changed since ingest)");
+  const std::size_t before = out.size();
+  ds.format->parseChunk(text, out, nullptr);
+  return out.size() - before;
 }
 
 }  // namespace mvio::recovery

@@ -5,20 +5,26 @@
 // that assumption fails, and restarting a multi-hour ingest because one
 // rank died is unacceptable. This module makes the pipeline's state
 // recoverable by persisting two kinds of durable, self-describing blobs
-// on the pfs::Volume (both reuse the checksummed BatchShard codec the
-// spill and migration paths already speak):
+// on the pfs::Volume:
 //
-//  * Chunk log (write-ahead): at ingest time every parsed chunk is
-//    written to "<dir>/rank<w>/ing.<layer>.<i>" before any exchange
-//    round runs, plus a per-rank "ing.manifest" recording the chunk
-//    counts. Because projection and ownership are deterministic, any
-//    survivor can later re-derive any round's deliveries from these
-//    blobs alone — no re-read of the input file, and no dependence on
-//    the ring protocol of the kMessage partitioner.
+//  * Chunk log (logical, write-ahead): the input file stays on the same
+//    volume, unchanged, for the whole run, so a chunk is logged by where
+//    its text came from, not by a copy of its records. For every chunk
+//    PartitionReader::next returned, a rank records the input-file byte
+//    ranges of its text, the text length, and a util::wordHash checksum
+//    of the text; it writes them all once, as the per-rank
+//    "<dir>/rank<w>/ing.manifest", before the first exchange round runs.
+//    Because parsing, projection and ownership are deterministic, any
+//    survivor can later re-derive any round's deliveries by re-reading
+//    those ranges, checking the checksum and re-parsing the text with
+//    the layer's FormatReader — with no dependence on the ring protocol
+//    of the kMessage partitioner (the ranges already name the
+//    predecessor's fragment).
 //
 //  * Epoch checkpoints: every StreamConfig::checkpointEveryRounds data
 //    rounds, each rank writes the records that arrived in its owned
-//    cells since the previous epoch as delta shards
+//    cells since the previous epoch as delta shards (the checksummed
+//    BatchShard codec the spill and migration paths already speak)
 //    ("<dir>/rank<w>/ep<E>.<layer>.<k>") plus a checksummed per-rank
 //    manifest; rank 0 then seals the epoch with a global manifest
 //    ("<dir>/global/ep<E>.seal": epoch id, rounds completed, the
@@ -43,13 +49,19 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/file_partition.hpp"
 #include "core/phases.hpp"
 #include "geom/geometry_batch.hpp"
 #include "mpi/runtime.hpp"
 #include "pfs/spill_store.hpp"
 #include "pfs/volume.hpp"
+
+namespace mvio::core {
+struct DatasetHandle;
+}  // namespace mvio::core
 
 namespace mvio::recovery {
 
@@ -62,10 +74,9 @@ struct CheckpointConfig {
   std::uint64_t maxShardBytes = 1ull << 20;
   /// Epoch compaction + GC (core::CompactionPolicy semantics): after
   /// every compactEveryEpochs-th valid seal E, fold epochs up to E-1 into
-  /// the base checkpoint and delete the folded delta shards, the
-  /// superseded base, and the chunk-log blobs the base covers. The newest
-  /// seal stays a delta so a torn seal still has a tail to fall back
-  /// through. 0 = never compact.
+  /// the base checkpoint and delete the folded delta shards and the
+  /// superseded base. The newest seal stays a delta so a torn seal still
+  /// has a tail to fall back through. 0 = never compact.
   std::uint64_t compactEveryEpochs = 0;
 };
 
@@ -75,6 +86,22 @@ inline const char* layerTag(int layer) { return layer == 0 ? "r" : "s"; }
 /// Volume prefix of one rank's durable blobs / of the global seals.
 std::string rankPrefix(const std::string& dir, int worldRank);
 std::string globalPrefix(const std::string& dir);
+
+/// One logged chunk: the input-file byte ranges its text was cut from,
+/// the text length (the sum of the range lengths) and the text checksum.
+struct LoggedChunk {
+  std::uint64_t bytes = 0;
+  std::uint64_t checksum = 0;  ///< util::wordHash of the chunk text
+  std::vector<core::FileRange> ranges;
+
+  friend bool operator==(const LoggedChunk&, const LoggedChunk&) = default;
+};
+
+/// One rank's ingest manifest: its logged chunks per layer, in chunk
+/// (= data round) order (see readIngestLog).
+struct IngestLog {
+  std::vector<LoggedChunk> chunks[2];
+};
 
 /// Writer side, one instance per rank per run. All methods are rank-local
 /// except maybeCheckpoint, which is collective over `comm` when it fires.
@@ -86,13 +113,15 @@ class CheckpointCoordinator {
   [[nodiscard]] bool enabled() const { return cfg_.everyRounds != 0; }
   [[nodiscard]] std::uint64_t epochsSealed() const { return epoch_; }
 
-  /// Write-ahead chunk log: persist one parsed (pre-projection) chunk of
-  /// `layer` durably. Called from the ingest loop, so every chunk of
-  /// every rank is on the volume before the first exchange round.
-  void logChunk(int layer, const geom::GeometryBatch& chunk);
+  /// Logical chunk log: record where the next chunk of `layer` came
+  /// from — the input-file `ranges` PartitionReader::lastRanges() named
+  /// for `text` — plus the text length and checksum. Rank-local and
+  /// write-free; sealIngest makes the records durable.
+  void logChunk(int layer, const std::vector<core::FileRange>& ranges, std::string_view text);
 
-  /// Close the chunk log (per-rank ingest manifest with the final chunk
-  /// counts). Call once, after both layers ingested.
+  /// Close the chunk log: write the per-rank ingest manifest with every
+  /// logged chunk. Call once, after both layers ingested and before the
+  /// first exchange round.
   void sealIngest();
 
   /// Record one data round's deliveries to this rank (the post-exchange
@@ -109,12 +138,6 @@ class CheckpointCoordinator {
   /// its old epochs into the base checkpoint and garbage-collects
   /// (rank-local, after the seal barrier).
   bool maybeCheckpoint(std::uint64_t globalRound, const std::vector<int>& cellOwner);
-
-  /// Tell the coordinator the agreed data-round schedule (allreduced
-  /// chunk counts per layer) so chunk-log GC can map covered rounds back
-  /// to blob names. Without it compaction still folds epochs but leaves
-  /// the chunk log alone.
-  void setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS);
 
   /// Attach the run's encoded partition map (core/partition_map.hpp) so
   /// every epoch seal carries it. Call after the map is built, before the
@@ -137,13 +160,9 @@ class CheckpointCoordinator {
 
   geom::GeometryBatch delta_[2];          ///< arrivals since the last epoch, per layer
   std::vector<std::uint64_t> cellLoads_;  ///< cumulative per-cell arrival counts
-  std::uint64_t chunks_[2] = {0, 0};
-  std::vector<std::uint64_t> chunkBytes_[2];  ///< encoded size of each logged chunk (GC accounting)
+  IngestLog ingest_;                      ///< chunks logged so far, written by sealIngest
   std::uint64_t epoch_ = 0;
   std::uint64_t baseEpoch_ = 0;           ///< newest committed base (0 = none)
-  std::uint64_t truncatedRounds_ = 0;     ///< chunk-log rounds already GC'd
-  std::uint64_t roundsR_ = 0, roundsS_ = 0;
-  bool scheduleKnown_ = false;
   std::string partitionMap_;  ///< encoded map embedded in every seal ("" = pre-map runs)
 };
 
@@ -184,11 +203,6 @@ struct BaseManifest {
   std::uint64_t roundsCovered = 0;  ///< data rounds covered by epochs 1..baseEpoch
   std::uint64_t records[2] = {0, 0};
   std::vector<RankEpochManifest::Shard> shards[2];
-};
-
-/// Per-rank chunk counts from the ingest manifest (see readIngestLog).
-struct IngestLog {
-  std::uint64_t chunks[2] = {0, 0};
 };
 
 // ---- Durable codec encoders -----------------------------------------------
@@ -259,15 +273,22 @@ std::uint64_t loadBaseCheckpoint(pfs::Volume& volume, const std::string& dir, in
                                  const std::vector<int>& sealOwner, geom::GeometryBatch& out,
                                  std::uint64_t* bytesRead = nullptr);
 
-/// Per-rank chunk counts from the ingest manifest. Throws util::Error
+/// One rank's logged chunks from its ingest manifest. Throws util::Error
 /// when the manifest is missing or corrupt (the chunk log is the replay
-/// source of truth; without it recovery is impossible).
+/// source of truth; without it recovery is impossible): bad magic,
+/// version or trailing checksum, a count larger than the bytes left, or
+/// a chunk whose range lengths do not add up to its byte count.
 IngestLog readIngestLog(pfs::Volume& volume, const std::string& dir, int worldRank,
                         std::uint64_t* bytesRead = nullptr);
 
-/// Reload one logged chunk (pre-projection records), appending to `out`.
-std::uint64_t loadLoggedChunk(pfs::Volume& volume, const std::string& dir, int worldRank,
-                              int layer, std::uint64_t chunk, geom::GeometryBatch& out,
+/// Replay one logged chunk: re-read its ranges of `ds.path` from
+/// `volume`, check the text against the logged checksum, and re-parse it
+/// with `ds.format`, appending the (pre-projection) records to `out`.
+/// Throws util::Error when a range lies past the end of the input or the
+/// text no longer matches its checksum (the input changed since ingest).
+/// Adds the text bytes to `bytesRead`; returns the records appended.
+std::uint64_t loadLoggedChunk(pfs::Volume& volume, const core::DatasetHandle& ds,
+                              const LoggedChunk& chunk, geom::GeometryBatch& out,
                               std::uint64_t* bytesRead = nullptr);
 
 }  // namespace mvio::recovery

@@ -183,7 +183,8 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   }
   chargeReads();
 
-  // 4. Replay rounds sealedRound+1..total from the chunk log. Rounds the
+  // 4. Replay rounds sealedRound+1..total from the chunk log: re-read
+  // each logged chunk's input ranges and re-parse them. Rounds the
   // survivors already hold (≤ deliveredRound) re-deliver only orphaned
   // cells; rounds the failure pre-empted re-deliver everything.
   const std::uint64_t totalRounds = ctx.roundsPerLayer[0] + ctx.roundsPerLayer[1];
@@ -225,6 +226,8 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
     const int layer = t <= ctx.roundsPerLayer[0] ? 0 : 1;
     const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.roundsPerLayer[0] - 1;
     if (stores[layer] == nullptr) continue;
+    MVIO_CHECK(ctx.datasets[layer] != nullptr, "recovery: no input dataset to replay from");
+    const core::DatasetHandle& ds = *ctx.datasets[layer];
     if (sharded) {
       // Each survivor reads + re-projects only its own source block and
       // ships every kept record to the cell's owner.
@@ -232,9 +235,10 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
       geom::GeometryBatch ship;
       for (int q = 0; q < ctx.worldSize; ++q) {
         if (srcSurvivor(q) != survivors.rank()) continue;
-        if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
+        const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+        if (chunk >= logged.size()) continue;
         geom::GeometryBatch raw;
-        loadLoggedChunk(volume, ctx.checkpoint.dir, q, layer, chunk, raw, &bytesRead);
+        loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
         const geom::GeometryBatch projected =
             core::projectToCells(map, ctx.locator, std::move(raw));
         for (std::size_t i = 0; i < projected.size(); ++i) {
@@ -256,9 +260,10 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
     } else {
       geom::GeometryBatch kept;
       for (int q = 0; q < ctx.worldSize; ++q) {
-        if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
+        const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+        if (chunk >= logged.size()) continue;
         geom::GeometryBatch raw;
-        loadLoggedChunk(volume, ctx.checkpoint.dir, q, layer, chunk, raw, &bytesRead);
+        loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
         const geom::GeometryBatch projected =
             core::projectToCells(map, ctx.locator, std::move(raw));
         for (std::size_t i = 0; i < projected.size(); ++i) {

@@ -30,16 +30,21 @@
 //     and keeps exactly the records of orphaned cells it now owns.
 //
 //  4. Replay: rounds E_rounds+1..total are re-derived from the chunk
-//     log. In the default *sharded* replay the survivors split the
-//     logged chunks by source rank (contiguous blocks, so concatenating
-//     ascending survivors preserves the source order), each re-projects
-//     only its block, and one exchangeByCell per round routes the
-//     records to their owners — aggregate replay reads are O(log), not
-//     O(survivors·log). The full-replay fallback (shardedReplay false)
-//     keeps the communication-free path: every survivor reads all
-//     logs and filters locally. Either way, rounds already delivered
-//     (≤ deliveredRound) contribute only orphaned-cell records; rounds
-//     the failure pre-empted contribute everything the survivor owns.
+//     log. A logged chunk names the input-file ranges its text came
+//     from: replay re-reads them from the layer's input (the
+//     DatasetHandle in the context), checks the text against the logged
+//     checksum, re-parses it with the layer's FormatReader and
+//     re-projects the records. In the default *sharded* replay the
+//     survivors split the logged chunks by source rank (contiguous
+//     blocks, so concatenating ascending survivors preserves the source
+//     order), each replays only its block, and one exchangeByCell per
+//     round routes the records to their owners — aggregate replay reads
+//     are O(log), not O(survivors·log). The full-replay fallback
+//     (shardedReplay false) keeps the communication-free path: every
+//     survivor replays all logs and filters locally. Either way, rounds
+//     already delivered (≤ deliveredRound) contribute only orphaned-cell
+//     records; rounds the failure pre-empted contribute everything the
+//     survivor owns.
 //
 // The function is re-entrant for cascading failures: a wave of deaths
 // detected *during* recovery runs it again on the further-shrunken
@@ -81,6 +86,10 @@ struct RecoveryContext {
   /// count on cascading passes (the first pass replayed to the end).
   std::uint64_t deliveredRound = 0;
   std::uint64_t roundsPerLayer[2] = {0, 0};  ///< original data-round schedule (R, S)
+  /// The run's input layers (R, S; S null for single-layer runs): replay
+  /// re-reads the logged chunk ranges from these files and re-parses them
+  /// with their format readers.
+  const core::DatasetHandle* datasets[2] = {nullptr, nullptr};
   const core::GridSpec* grid = nullptr;
   /// The run's partition map (uniform or adaptive). Replay re-projects
   /// through it, and its encoding must match the sealed epoch's embedded

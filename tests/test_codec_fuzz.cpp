@@ -241,9 +241,13 @@ TEST(CodecFuzz, BaseManifestRejectsCorruption) {
 }
 
 TEST(CodecFuzz, IngestManifestRejectsCorruption) {
+  // v2 layout: per layer, per chunk {bytes, checksum, ranges}. Layer R has
+  // a two-range chunk (a kMessage fragment + prefix pair) and a one-range
+  // chunk; layer S an empty chunk (a rank that read nothing that round).
   mr::IngestLog log;
-  log.chunks[0] = 3;
-  log.chunks[1] = 2;
+  log.chunks[0] = {{300, 0x1234abcdull, {{4000, 120}, {4120, 180}}},
+                   {64, 0x5678ull, {{9000, 64}}}};
+  log.chunks[1] = {{0, 0x9abcull, {}}, {80, 0xdef0ull, {{7, 80}}}};
   const std::string good = mr::encodeIngestManifest(log);
 
   auto volume = smallVolume();
@@ -254,9 +258,18 @@ TEST(CodecFuzz, IngestManifestRejectsCorruption) {
              store.put("ing.manifest", std::string(blob));
              mr::IngestLog got;
              return noThrow([&] { got = mr::readIngestLog(*volume, dir, 0); }) &&
-                    got.chunks[0] == 3 && got.chunks[1] == 2;
+                    got.chunks[0] == log.chunks[0] && got.chunks[1] == log.chunks[1];
            },
            "IngestManifest");
+
+  // A chunk whose range lengths do not add up to its byte count — more
+  // or fewer bytes — is rejected even with a valid trailing checksum.
+  for (const std::uint64_t bytes : {299u, 301u}) {
+    mr::IngestLog uneven = log;
+    uneven.chunks[0][0].bytes = bytes;
+    store.put("ing.manifest", mr::encodeIngestManifest(uneven));
+    EXPECT_THROW((void)mr::readIngestLog(*volume, dir, 0), mvio::util::Error) << bytes;
+  }
 }
 
 TEST(CodecFuzz, TornSealTailsAlwaysReject) {

@@ -377,6 +377,87 @@ TEST(FramedPartitioning, OverlapStrategyOneShotAndStreamed) {
   runPartitionedDecode(mc::BoundaryStrategy::kOverlap, 640, 300, /*smallRecords=*/true);
 }
 
+// ---- PartitionReader::lastRanges: the chunk log's replay source -----------
+
+TEST(PartitionRanges, RangesReproduceEveryChunkAndTileTheFile) {
+  // The chunk log replays a chunk by re-reading lastRanges() from the
+  // input, so the ranges must be exact: per chunk, the file bytes over
+  // them concatenate to the returned text; over all ranks and chunks they
+  // cover the file's records exactly once — no gap, no overlap.
+  auto volume = lustreVolume();
+  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 73);
+  spec.space.world = mg::Envelope(0, 0, 20, 20);
+  spec.maxVertices = 12;  // every record fits the smallest block below
+  spec.holeProbability = 0;
+  const mo::RecordGenerator gen(spec);
+  volume->create("p.wkt", std::make_shared<mp::MemoryBackingStore>(mo::generateWktText(gen, 200)));
+  volume->create("p.wkb", std::make_shared<mp::MemoryBackingStore>(mo::generateWkbText(gen, 200)));
+
+  struct Mode {
+    const char* name;
+    std::uint64_t chunkBytes;  ///< 0 = one-shot
+    std::uint64_t blockSize;   ///< one-shot block size (several iterations)
+  };
+  const Mode modes[] = {{"stream-1536", 1536, 0}, {"stream-5120", 5120, 0}, {"one-shot", 0, 2048}};
+  for (const mc::BoundaryStrategy strategy :
+       {mc::BoundaryStrategy::kMessage, mc::BoundaryStrategy::kOverlap}) {
+    for (const char* format : {"wkt", "wkb"}) {
+      for (const bool collective : {false, true}) {
+        for (const Mode& mode : modes) {
+          for (const int ranks : {1, 3, 4}) {
+            const std::string path = std::string("p.") + format;
+            SCOPED_TRACE(path +
+                         (strategy == mc::BoundaryStrategy::kMessage ? " message " : " overlap ") +
+                         (collective ? "L1 " : "L0 ") + mode.name + " ranks " +
+                         std::to_string(ranks));
+            const std::string file = fileBytes(*volume, path);
+            const mc::FormatReader* fmt = mc::FormatRegistry::instance().get(format);
+            std::mutex mtx;
+            std::vector<mc::FileRange> all;
+            std::uint64_t chunks = 0, mismatched = 0, multiRange = 0;
+            mm::Runtime::run(ranks, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+              mc::PartitionConfig cfg;
+              cfg.strategy = strategy;
+              cfg.collectiveRead = collective;
+              cfg.blockSize = mode.blockSize;
+              cfg.maxGeometryBytes = 1536;
+              mi::File in = mi::File::open(comm, *volume, path);
+              mc::PartitionReader reader(comm, in, cfg, mode.chunkBytes, fmt);
+              std::string text;
+              while (reader.next(text)) {
+                std::string again;
+                for (const mc::FileRange& r : reader.lastRanges()) {
+                  again.append(file, static_cast<std::size_t>(r.offset),
+                               static_cast<std::size_t>(r.length));
+                }
+                std::lock_guard<std::mutex> lock(mtx);
+                chunks += 1;
+                if (again != text) mismatched += 1;
+                if (reader.lastRanges().size() > 1) multiRange += 1;
+                all.insert(all.end(), reader.lastRanges().begin(), reader.lastRanges().end());
+              }
+            });
+            EXPECT_EQ(mismatched, 0u) << "of " << chunks << " chunks";
+            if (mode.chunkBytes == 0 && ranks > 1) {
+              EXPECT_GT(multiRange, 0u) << "one-shot over several iterations logs several ranges";
+            }
+            std::sort(all.begin(), all.end(), [](const mc::FileRange& a, const mc::FileRange& b) {
+              return a.offset < b.offset;
+            });
+            std::uint64_t at = 0;
+            for (const mc::FileRange& r : all) {
+              EXPECT_GT(r.length, 0u);
+              EXPECT_EQ(r.offset, at) << (r.offset < at ? "overlap" : "gap");
+              at = r.offset + r.length;
+            }
+            EXPECT_EQ(at, file.size()) << "the ranges must reach the end of the file";
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- End-to-end: WKT ingest ≡ WKB ingest ----------------------------------
 
 namespace {
@@ -565,8 +646,9 @@ TEST(FormatBitIdentity, InjectedFailureReplaysWkbChunkLog) {
   ASSERT_FALSE(base.empty());
 
   // Streamed binary ingest with checkpoints; rank 2 dies mid-stream. The
-  // chunk log holds parsed batches, so replay is format-independent — the
-  // survivors must reconstruct exactly the failure-free (and WKT) result.
+  // chunk log names input ranges, so replay re-reads the WKB file and
+  // re-decodes it with the layer's reader — the survivors must
+  // reconstruct exactly the failure-free (and WKT) result.
   JoinSetup setup;
   setup.binary = true;
   setup.threads = 4;

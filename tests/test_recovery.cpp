@@ -76,6 +76,19 @@ std::shared_ptr<mp::Volume> lustreVolume(int nodes = 8) {
   return std::make_shared<mp::Volume>(std::make_shared<mp::LustreModel>(params));
 }
 
+/// The batch as WKT input text: one "WKT<tab>userData" record per line,
+/// the layout text ingest reads.
+std::string wktLines(const mg::GeometryBatch& batch) {
+  std::string text;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    text += mg::writeWkt(batch.materialize(i));
+    text += '\t';
+    text += batch.userData(i);
+    text += '\n';
+  }
+  return text;
+}
+
 /// Read a whole volume file into a string (for bit-identity assertions).
 std::string fileBytes(mp::Volume& volume, const std::string& name) {
   const auto file = volume.lookup(name);
@@ -121,6 +134,15 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
   auto volume = lustreVolume(2);
   const mg::GeometryBatch batch = mixedBatch();
 
+  // The ingest side of the chunk log: an input file and the batch text
+  // ingest parses out of it.
+  const std::string input = wktLines(batch);
+  volume->create("rt.wkt", std::make_shared<mp::MemoryBackingStore>(input));
+  const mc::DatasetHandle ds{"rt.wkt", mc::FormatRegistry::instance().get("wkt")};
+  mg::GeometryBatch parsed;
+  ds.format->parseChunk(input, parsed, nullptr);
+  ASSERT_EQ(parsed.size(), batch.size());
+
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
     mr::CheckpointConfig cfg;
@@ -129,7 +151,9 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ASSERT_TRUE(ckpt.enabled());
 
-    ckpt.logChunk(0, batch);
+    // Logged as two ranges cut mid-record: replay concatenates them.
+    const std::uint64_t cut = input.size() / 2;
+    ckpt.logChunk(0, {{0, cut}, {cut, input.size() - cut}}, input);
     ckpt.sealIngest();
     ckpt.noteRound(0, batch);
     const std::vector<int> owner(8, 0);  // one rank owns every cell
@@ -154,14 +178,21 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     ASSERT_EQ(delta.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) expectRecordsEqual(batch, i, delta, i);
 
-    // The chunk log round-trips the pre-projection records too.
+    // The chunk log round-trips the pre-projection records too:
+    // re-reading the logged ranges and re-parsing them gives back the
+    // batch parsed at ingest.
     const mr::IngestLog log = mr::readIngestLog(*volume, cfg.dir, 0);
-    EXPECT_EQ(log.chunks[0], 1u);
-    EXPECT_EQ(log.chunks[1], 0u);
+    ASSERT_EQ(log.chunks[0].size(), 1u);
+    EXPECT_EQ(log.chunks[1].size(), 0u);
+    EXPECT_EQ(log.chunks[0][0].bytes, input.size());
+    EXPECT_EQ(log.chunks[0][0].ranges.size(), 2u);
     mg::GeometryBatch chunk;
-    mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 0, chunk);
-    ASSERT_EQ(chunk.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) expectRecordsEqual(batch, i, chunk, i);
+    std::uint64_t replayBytes = 0;
+    EXPECT_EQ(mr::loadLoggedChunk(*volume, ds, log.chunks[0][0], chunk, &replayBytes),
+              parsed.size());
+    EXPECT_EQ(replayBytes, input.size());
+    ASSERT_EQ(chunk.size(), parsed.size());
+    for (std::size_t i = 0; i < parsed.size(); ++i) expectRecordsEqual(parsed, i, chunk, i);
 
     // Stale-manifest guard: a map that assigns a present cell elsewhere
     // rejects the delta.
@@ -507,7 +538,7 @@ TEST(CascadingFailure, SecondKillDuringRecoveryBitIdenticalWithCompaction) {
       << "join results must survive a cascading two-kill schedule";
   EXPECT_EQ(cascaded.globalPairs, base.globalPairs);
   EXPECT_GT(cascaded.compactionBytes, 0u) << "the round-4 seal must have folded a base";
-  EXPECT_GT(cascaded.reclaimedBytes, 0u) << "GC must delete folded deltas and covered chunks";
+  EXPECT_GT(cascaded.reclaimedBytes, 0u) << "GC must delete folded deltas";
   EXPECT_LT(cascaded.recoveryBytes, full.recoveryBytes)
       << "compaction + sharded replay must read strictly fewer recovery bytes than the "
          "uncompacted full-replay path on the same schedule";
@@ -630,8 +661,8 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     cfg.dir = "__ck_gc";
     cfg.compactEveryEpochs = 2;
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
-    ckpt.setRoundSchedule(4, 0);
-    for (int i = 0; i < 4; ++i) ckpt.logChunk(0, batch);
+    const std::string text = wktLines(batch);
+    for (int i = 0; i < 4; ++i) ckpt.logChunk(0, {{0, text.size()}}, text);
     ckpt.sealIngest();
     const std::vector<int> owner(8, 0);
     for (std::uint64_t e = 1; e <= 4; ++e) {
@@ -667,13 +698,9 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     mg::GeometryBatch tail;
     EXPECT_EQ(mr::loadEpochDelta(*volume, cfg.dir, 0, *m4, 0, owner, tail), batch.size());
 
-    // Chunk-log truncation: rounds the base covers are deleted, the
-    // unsealed tail stays replayable.
-    mg::GeometryBatch chunk;
-    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 0, chunk), mvio::util::Error);
-    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 2, chunk), mvio::util::Error);
-    chunk = mg::GeometryBatch();
-    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 3, chunk), batch.size());
+    // The chunk log is one manifest of input ranges, not per-round
+    // blobs: compaction leaves it whole.
+    EXPECT_EQ(mr::readIngestLog(*volume, cfg.dir, 0).chunks[0].size(), 4u);
 
     // The superseded base-1 shards were reclaimed too.
     mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.dir, 0));
@@ -698,23 +725,96 @@ TEST(Checkpoint, CompactionSkipsTornSeal) {
     cfg.compactEveryEpochs = 2;
     cfg.tearEpochSeal = 2;  // the epoch that would trigger the fold
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
-    ckpt.setRoundSchedule(2, 0);
-    for (int i = 0; i < 2; ++i) ckpt.logChunk(0, batch);
-    ckpt.sealIngest();
     const std::vector<int> owner(8, 0);
     ckpt.noteRound(0, batch);
     ASSERT_TRUE(ckpt.maybeCheckpoint(1, owner));
     ckpt.noteRound(0, batch);
     ASSERT_TRUE(ckpt.maybeCheckpoint(2, owner));
 
-    // A torn seal must not anchor a fold: compaction would GC chunks that
-    // the fallback recovery (epoch 1) still needs.
+    // A torn seal must not anchor a fold: no base, nothing reclaimed, and
+    // the epoch-1 delta the fallback recovery reads is still in place.
     EXPECT_FALSE(mr::readBaseManifest(*volume, cfg.dir, 0).has_value());
     EXPECT_EQ(phases.compactionBytes, 0u);
     EXPECT_EQ(phases.reclaimedBytes, 0u);
-    mg::GeometryBatch chunk;
-    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 0, chunk), batch.size());
+    const auto m1 = mr::readRankManifest(*volume, cfg.dir, 0, 1);
+    ASSERT_TRUE(m1.has_value());
+    mg::GeometryBatch delta;
+    EXPECT_EQ(mr::loadEpochDelta(*volume, cfg.dir, 0, *m1, 0, owner, delta), batch.size());
   });
+}
+
+TEST(Checkpoint, ReplayRejectsChangedOrTruncatedInput) {
+  auto volume = lustreVolume(2);
+  const std::string input = wktLines(mixedBatch());
+  volume->create("in.wkt", std::make_shared<mp::MemoryBackingStore>(input));
+  const mc::DatasetHandle ds{"in.wkt", mc::FormatRegistry::instance().get("wkt")};
+  const std::string dir = "__ck_input";
+
+  mm::Runtime::run(1, [&](mm::Comm& comm) {
+    mc::PhaseBreakdown phases;
+    mr::CheckpointConfig cfg;
+    cfg.everyRounds = 1;
+    cfg.dir = dir;
+    mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
+    ckpt.logChunk(0, {{0, input.size()}}, input);
+    ckpt.sealIngest();
+  });
+  const mr::LoggedChunk logged = mr::readIngestLog(*volume, dir, 0).chunks[0].at(0);
+  mg::GeometryBatch ok;
+  ASSERT_EQ(mr::loadLoggedChunk(*volume, ds, logged, ok), 7u);
+
+  // One input byte changed after ingest (a digit of the first record, so
+  // the text still parses): replay must refuse the text, naming the
+  // checksum, instead of silently re-parsing different records.
+  const auto file = volume->lookup("in.wkt");
+  const std::size_t digit = input.find('3');
+  ASSERT_NE(digit, std::string::npos);
+  const char changed = '4';
+  file->data->write(digit, &changed, 1);
+  mg::GeometryBatch rejected;
+  try {
+    mr::loadLoggedChunk(*volume, ds, logged, rejected);
+    ADD_FAILURE() << "replay accepted a changed input byte";
+  } catch (const mvio::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(rejected.size(), 0u) << "nothing may be appended from a rejected chunk";
+
+  // The input truncated after ingest: the logged range now runs past EOF.
+  volume->createOrReplace("in.wkt", std::make_shared<mp::MemoryBackingStore>(
+                                        input.substr(0, input.size() / 2)));
+  EXPECT_THROW(mr::loadLoggedChunk(*volume, ds, logged, rejected), mvio::util::Error);
+  EXPECT_EQ(rejected.size(), 0u);
+}
+
+TEST(Checkpoint, StreamingRunLogsInputRangesNotChunkBlobs) {
+  RecoveryFixture fx;
+  const std::string dir = "__ck_logical";
+  const JoinRun run = runJoin(fx, [&](mc::JoinConfig& cfg) {
+    cfg.framework.stream = RecoveryFixture::streamedConfig(2, dir);
+  });
+  ASSERT_FALSE(run.pairs.empty());
+
+  // Every rank wrote one ingest manifest and no per-chunk blob; the logged
+  // chunks of all ranks cover each input file exactly once.
+  const std::string paths[2] = {"r.wkt", "s.wkt"};
+  std::uint64_t loggedBytes[2] = {0, 0};
+  for (int q = 0; q < 4; ++q) {
+    const std::string prefix = mr::rankPrefix(dir, q) + "/";
+    EXPECT_TRUE(fx.volume->exists(prefix + "ing.manifest"));
+    const mr::IngestLog log = mr::readIngestLog(*fx.volume, dir, q);
+    for (int layer = 0; layer < 2; ++layer) {
+      EXPECT_GE(log.chunks[layer].size(), 2u) << "streaming must log several chunks";
+      for (std::size_t i = 0; i < log.chunks[layer].size() + 2; ++i) {
+        const std::string blob = prefix + "ing." + mr::layerTag(layer) + "." + std::to_string(i);
+        EXPECT_FALSE(fx.volume->exists(blob)) << blob;
+      }
+      for (const mr::LoggedChunk& c : log.chunks[layer]) loggedBytes[layer] += c.bytes;
+    }
+  }
+  for (int layer = 0; layer < 2; ++layer) {
+    EXPECT_EQ(loggedBytes[layer], fx.volume->lookup(paths[layer])->data->size());
+  }
 }
 
 TEST(Checkpoint, SealScanCacheSkipsRevalidation) {

@@ -1,10 +1,13 @@
 // Unit tests for mvio::util: RNG determinism and distributions, running
-// statistics, formatting, histogram, CLI parsing.
+// statistics, formatting, histogram, CLI parsing, the chunk-text hash.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include <string>
+
+#include "util/bytes.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -172,4 +175,26 @@ TEST(Cli, RejectsUnknownFlag) {
 TEST(Error, CheckMacroThrows) {
   EXPECT_THROW(MVIO_CHECK(false, "boom"), mu::Error);
   EXPECT_NO_THROW(MVIO_CHECK(true, "fine"));
+}
+
+TEST(WordHash, EverySingleBitFlipAndTruncationChangesTheHash) {
+  // 30 bytes: three full words and a 6-byte tail, so the zero-padded
+  // tail word is covered too.
+  const std::string text = "POINT (3 3)\tattr-0\nPOINT (4 5)";
+  ASSERT_EQ(text.size(), 30u);
+  const std::uint64_t h = mu::wordHash(text);
+  EXPECT_EQ(h, mu::wordHash(text.data(), text.size())) << "deterministic";
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_NE(mu::wordHash(flipped), h) << "byte " << i << " bit " << bit;
+    }
+  }
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    EXPECT_NE(mu::wordHash(text.data(), len), h) << "truncated to " << len;
+  }
+  // Zero padding must not make a shorter text collide with its
+  // zero-extended self.
+  EXPECT_NE(mu::wordHash(std::string("ab")), mu::wordHash(std::string("ab\0", 3)));
 }
