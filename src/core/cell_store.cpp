@@ -188,14 +188,6 @@ geom::GeometryBatch CellStore::takeCellBatch() {
   return out;
 }
 
-geom::GeometryBatch CellStore::takeCellAssembled(int cell) {
-  MVIO_CHECK(finalized_, "CellStore: takeCellAssembled before finalize");
-  MVIO_CHECK(streaming(), "CellStore: takeCellAssembled is a streaming-regime call");
-  geom::GeometryBatch out;
-  assembleCell(cell, out, /*extract=*/false);
-  return out;
-}
-
 geom::GeometryBatch CellStore::extractCell(int cell) {
   MVIO_CHECK(finalized_, "CellStore: extractCell before finalize");
   geom::GeometryBatch out;

@@ -78,7 +78,7 @@ class CellStore {
   /// (streaming) or the owned batch (resident).
   [[nodiscard]] std::uint64_t trackedBytes() const;
   [[nodiscard]] std::uint64_t peakBytes() const { return peakBytes_; }
-  /// Shard bytes reloaded by cellSpan/takeCellAssembled/extractCell.
+  /// Shard bytes reloaded by cellSpan/extractCell.
   [[nodiscard]] std::uint64_t reloadBytes() const { return reloadBytes_; }
 
   // ---- Cell-major access (after finalize) ------------------------------
@@ -88,14 +88,10 @@ class CellStore {
   /// takeCellBatch call. Any cell order is correct.
   geom::BatchSpan cellSpan(int cell);
   /// Streaming regime: hand over the scratch batch assembled by the last
-  /// cellSpan() (the per-cell adoption unit).
+  /// cellSpan() (the per-cell adoption unit). The refine loop stages each
+  /// cell this way, so pool workers refine owned batches while the store
+  /// (which is not thread-safe) stays untouched (DESIGN.md §10).
   [[nodiscard]] geom::GeometryBatch takeCellBatch();
-  /// Streaming regime: assemble `cell`'s records straight into an owned,
-  /// self-contained batch — cellSpan() + takeCellBatch() without the
-  /// scratch index build. The parallel-refine group loader uses it to
-  /// stage a bounded group of cells that pool workers then refine while
-  /// the store (which is not thread-safe) stays untouched (DESIGN.md §10).
-  [[nodiscard]] geom::GeometryBatch takeCellAssembled(int cell);
   /// Remove `cell` from the store and return its records (migration).
   /// Resident: the records are tombstoned with kNoCell in the owned batch
   /// so a later takeResidentBatch() cannot leak them to the task.

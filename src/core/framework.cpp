@@ -203,66 +203,6 @@ struct PilotSampler {
   }
 };
 
-/// Phases 1+2 for one layer, chunk by chunk: partitioned read then parse
-/// straight into a per-chunk batch (no per-record Geometry objects),
-/// staged for the exchange rounds. Accumulates the layer's local MBR for
-/// grid construction along the way. With checkpointing enabled every
-/// chunk's input-file ranges and text checksum go to the chunk log — the
-/// replay source recovery re-derives lost rounds from by re-reading the
-/// input.
-///
-/// With a worker pool (threadsPerRank > 1) the chunk text is parsed in
-/// parallel record-boundary slices and the clock is charged the critical
-/// path — max worker CPU plus the serial splice — instead of the summed
-/// CPU. With `overlapPrep` set (round overlap) the parse charge is not
-/// applied here at all: it is recorded per chunk and replayed by the
-/// round loop's pipeline recurrence, where it can hide under exchanges.
-void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
-                 const FrameworkConfig& cfg, BatchStager& stage, geom::Envelope& localBounds,
-                 ParseStats& parseStats, PartitionResult& ioStats, PhaseBreakdown& phases,
-                 recovery::CheckpointCoordinator& ckpt, int layer, util::ThreadPool* pool,
-                 std::deque<ChunkPrep>* overlapPrep, PilotSampler* pilot) {
-  io::File file = io::File::open(comm, volume, ds.path, cfg.ioHints);
-  PartitionReader reader(comm, file, ds.partition, cfg.stream.chunkBytes, ds.format);
-
-  std::string text;
-  while (true) {
-    const double t0 = comm.clock().now();
-    const bool more = reader.next(text);
-    phases.read += comm.clock().now() - t0;
-    if (!more) break;
-    const double readDoneAt = comm.clock().now();
-    obs::traceSpanAt("read", t0, readDoneAt);
-
-    geom::GeometryBatch chunk;
-    ParseTiming pt;
-    ParseStats ps;
-    if (pool != nullptr && pool->threads() > 1) {
-      ps = ds.format->parseChunk(text, chunk, pool, &pt);
-      phases.workerCpu += pt.cpuSum;
-      phases.workerCritical += pt.critical;
-    } else {
-      ps = ds.format->parseChunk(text, chunk, nullptr, &pt);
-    }
-    parseStats.records += ps.records;
-    parseStats.badRecords += ps.badRecords;
-    parseStats.bytes += ps.bytes;
-    if (overlapPrep != nullptr) {
-      overlapPrep->push_back({readDoneAt, pt.critical});
-    } else {
-      const double p0 = comm.clock().now();
-      comm.clock().advanceBy(pt.critical);
-      obs::traceSpanAt("parse", p0, comm.clock().now());
-      phases.parse += pt.critical;
-    }
-    localBounds.expandToInclude(chunk.bounds());
-    if (pilot != nullptr) pilot->observe(chunk);
-    ckpt.logChunk(layer, reader.lastRanges(), text);
-    stage.push(std::move(chunk));
-  }
-  ioStats = reader.counters();
-}
-
 /// Ascending union of two sorted cell-id lists.
 std::vector<int> mergeCellLists(const std::vector<int>& a, const std::vector<int>& b) {
   std::vector<int> out;
@@ -317,6 +257,896 @@ void refineThroughMap(RefineTask& task, const PartitionMap& map, int cell,
   }
 }
 
+/// This rank's place in the fault schedule: events sharing (afterRound,
+/// recovery pass) die together as one wave. firstKillRound 0 = none.
+struct FailurePlan {
+  std::size_t myWave = SIZE_MAX;  ///< wave this rank dies in (SIZE_MAX = never)
+  std::uint64_t firstKillRound = 0;
+  std::uint64_t lastKillRound = 0;
+};
+
+/// Argument checks, run before any state is built, and the fault
+/// schedule ordered by (boundary, recovery pass, rank).
+FailurePlan checkConfig(const mpi::Comm& comm, const DatasetHandle& r, const DatasetHandle* s,
+                        const FrameworkConfig& cfg) {
+  MVIO_CHECK(cfg.gridCells >= 1, "need at least one grid cell");
+  MVIO_CHECK(r.format != nullptr && (s == nullptr || s->format != nullptr),
+             "every DatasetHandle needs a format (FormatRegistry reader or TextFormatReader)");
+  // Checkpoint blob names are keyed by world rank, so the subsystem
+  // requires the launch (world) communicator when enabled (DESIGN.md §9).
+  const bool checkpointing = cfg.stream.checkpointEveryRounds != 0;
+  if (checkpointing) {
+    MVIO_CHECK(comm.rank() == comm.worldRank(),
+               "checkpointing requires the world communicator (blob names are world-rank keyed)");
+  }
+  std::vector<sim::FailureEvent> schedule = cfg.failSchedule;
+  std::sort(schedule.begin(), schedule.end(),
+            [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
+              return std::tie(a.afterRound, a.duringRecoveryPass, a.rank) <
+                     std::tie(b.afterRound, b.duringRecoveryPass, b.rank);
+            });
+  FailurePlan plan;
+  if (!schedule.empty()) {
+    const int p = comm.size();
+    MVIO_CHECK(checkpointing, "failure injection requires StreamConfig::checkpointEveryRounds > 0");
+    MVIO_CHECK(static_cast<int>(schedule.size()) < p,
+               "failure injection must leave at least one survivor");
+    std::vector<int> dying;
+    for (std::size_t i = 0, wave = 0; i < schedule.size(); ++i) {
+      const sim::FailureEvent& ev = schedule[i];
+      MVIO_CHECK(ev.rank >= 0 && ev.rank < p, "fault schedule names a rank outside the communicator");
+      MVIO_CHECK(ev.afterRound != 0, "fault schedule event without a kill round");
+      MVIO_CHECK(ev.duringRecoveryPass >= 0, "fault schedule event with a negative recovery pass");
+      const sim::FailureEvent& prev = schedule[i == 0 ? 0 : i - 1];
+      if (std::tie(ev.afterRound, ev.duringRecoveryPass) !=
+          std::tie(prev.afterRound, prev.duringRecoveryPass)) {
+        ++wave;
+      }
+      if (ev.rank == comm.worldRank()) plan.myWave = wave;
+      dying.push_back(ev.rank);
+    }
+    std::sort(dying.begin(), dying.end());
+    MVIO_CHECK(std::adjacent_find(dying.begin(), dying.end()) == dying.end(),
+               "fault schedule kills the same rank twice");
+    MVIO_CHECK(schedule.front().duringRecoveryPass == 0,
+               "the first failure wave must strike at a round boundary, not during recovery");
+    plan.firstKillRound = schedule.front().afterRound;
+    plan.lastKillRound = schedule.back().afterRound;
+  }
+  MVIO_CHECK(cfg.threadsPerRank >= 1, "threadsPerRank must be at least 1");
+  return plan;
+}
+
+/// Refine worker clones, one per pool thread. None for a one-thread pool
+/// or a task whose makeWorker returns nullptr (the task is then its own
+/// single worker).
+std::vector<std::unique_ptr<RefineTask>> makeRefineWorkers(RefineTask& task, int threads) {
+  std::vector<std::unique_ptr<RefineTask>> workers;
+  for (int t = 0; threads > 1 && t < threads; ++t) {
+    std::unique_ptr<RefineTask> w = task.makeWorker();
+    if (w == nullptr) return {};
+    workers.push_back(std::move(w));
+  }
+  return workers;
+}
+
+/// The run's state, shared by the stage functions below (one per step of
+/// paper §4.3). Never copied: members hold pointers into it.
+struct Run {
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+  Run(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& r, const DatasetHandle* s,
+      const FrameworkConfig& cfg, RefineTask& task, FailurePlan failures)
+      : comm(comm),
+        volume(volume),
+        r(r),
+        s(s),
+        cfg(cfg),
+        task(task),
+        failures(std::move(failures)),
+        overlap(cfg.stream.overlapRounds && cfg.stream.chunkBytes > 0),
+        ckptCfg{.everyRounds = cfg.stream.checkpointEveryRounds,
+                .dir = cfg.stream.checkpointDir,
+                .tearEpochSeal = cfg.stream.tearEpochSeal,
+                .compactEveryEpochs = cfg.stream.compaction.everyEpochs},
+        ckpt(comm, volume, ckptCfg, &stats.phases),
+        pool(cfg.threadsPerRank),
+        refineWorkers(makeRefineWorkers(task, pool.threads())),
+        spill(volume, cfg.stream.spillDir + "/rank" + std::to_string(comm.worldRank())),
+        spiller{&comm, &spill,
+                cfg.stream.spillOnPfs ? pfs::SpillPricer::onVolume(volume, comm.nodeId())
+                                      : pfs::SpillPricer::flatRate(kNodeLocalSpillBytesPerSecond),
+                &stats.phases},
+        refineGroupBytes(cfg.stream.memoryBudget > 0 && !refineWorkers.empty()
+                             ? std::max<std::uint64_t>(cfg.stream.memoryBudget / 4, 1)
+                             : 0),
+        storeBudget([&] {
+          const std::uint64_t budget = cfg.stream.memoryBudget;
+          const std::uint64_t share =
+              refineGroupBytes > 0 ? std::max<std::uint64_t>(budget - refineGroupBytes, 1) : budget;
+          return (s != nullptr && share > 0) ? std::max<std::uint64_t>(share / 2, 1) : share;
+        }()),
+        stage{{spiller, "pend_r", cfg.stream.memoryBudget ? cfg.stream.memoryBudget : UINT64_MAX},
+              {spiller, "pend_s", cfg.stream.memoryBudget ? cfg.stream.memoryBudget : UINT64_MAX}},
+        owned{{&spill, "own_r", storeBudget, [this](auto... a) { spiller.charge(a...); }},
+              {&spill, "own_s", storeBudget, [this](auto... a) { spiller.charge(a...); }}},
+        owner([p = comm.size()](int cell) { return roundRobinOwner(cell, p); }),
+        active(comm) {
+    // Adaptive partitioning piggybacks a pilot sample on the ingest scan —
+    // no extra read pass (DESIGN.md §13).
+    if (cfg.partition.scheme != PartitionScheme::kUniform) pilot.emplace(cfg.partition);
+  }
+
+  mpi::Comm& comm;
+  pfs::Volume& volume;
+  const DatasetHandle& r;
+  const DatasetHandle* s;  ///< null for single-layer runs
+  const FrameworkConfig& cfg;
+  RefineTask& task;
+  const FailurePlan failures;
+  /// Round overlap is defined on the chunked round schedule; a one-shot
+  /// run (chunkBytes == 0) has a single round and nothing to pipeline.
+  const bool overlap;
+  FrameworkStats stats;
+  recovery::CheckpointConfig ckptCfg;
+  recovery::CheckpointCoordinator ckpt;
+  /// Per-rank worker pool (DESIGN.md §10). The rank thread keeps
+  /// exclusive ownership of Comm and the sim clock; workers only run
+  /// parse/refine bodies, each region charged afterwards by its critical
+  /// path. One thread = no threads spawned, regions run inline.
+  util::ThreadPool pool;
+  std::vector<std::unique_ptr<RefineTask>> refineWorkers;
+  /// Rank-local scratch for spilled shards; blobs are dropped on exit.
+  pfs::SpillStore spill;
+  Spiller spiller;
+  /// Two-layer runs split the refine budget between the layer stores so
+  /// the reported peak (their sum) stays within the configured bound. A
+  /// parallel streaming refine additionally reserves a group share out of
+  /// the same budget for the per-dispatch staged cell batches, keeping the
+  /// bound (plus the usual one-cell slack) intact.
+  std::uint64_t refineGroupBytes;
+  std::uint64_t storeBudget;
+  // Per layer (R, S) from here on.
+  BatchStager stage[2];
+  /// Received records accumulate here: resident when the budget is
+  /// unbounded, cell-sorted spill segments otherwise.
+  CellStore owned[2];
+
+  geom::Envelope localBounds;
+  std::optional<PilotSampler> pilot;  ///< adaptive schemes only
+  std::deque<ChunkPrep> prep[2];  ///< deferred parse charges (overlap)
+  std::optional<CellLocator> locator;
+  CellOwnerFn owner;          ///< exchange-round ownership: round-robin
+  std::vector<int> rrOwner;   ///< `owner` as a table, for checkpoint seals
+  std::uint64_t rounds[2] = {0, 0};  ///< data rounds per layer
+
+  mpi::Comm active;              ///< shrinks to the survivors after a recovery
+  std::vector<int> activeWorld;  ///< active-local rank -> world rank (post-recovery)
+  bool recovered = false;
+  std::uint64_t globalRound = 0;
+  /// Reused across every exchange round so the p-sized header/count
+  /// vectors and the payload buffers keep their capacity between rounds.
+  ExchangeScratch xscratch;
+  /// Round-overlap pipeline state (DESIGN.md §10), shared across layers.
+  /// prepDoneAt models the prep stage (deferred parse + projection,
+  /// double-buffered two rounds deep against the exchange), storeDoneAt
+  /// the store-flush stage replaying deferred owned-store spill charges,
+  /// commDonePrev* the last two rounds' exchange completion times.
+  double prepDoneAt = 0;
+  double commDonePrev1 = 0;
+  double commDonePrev2 = 0;
+  double storeDoneAt = 0;
+  double spillBanked = 0;
+};
+
+/// Phases 1+2 for one layer, chunk by chunk: partitioned read then parse
+/// straight into a per-chunk batch (no per-record Geometry objects),
+/// staged for the exchange rounds. Accumulates the layer's local MBR for
+/// grid construction along the way. With checkpointing enabled every
+/// chunk's input-file ranges and text checksum go to the chunk log — the
+/// replay source recovery re-derives lost rounds from by re-reading the
+/// input.
+///
+/// With more than one pool thread the chunk text is parsed in parallel
+/// record-boundary slices and the clock is charged the critical path —
+/// max worker CPU plus the serial splice — instead of the summed CPU.
+/// Under round overlap the parse charge is not applied here at all: it is
+/// recorded per chunk and replayed by the round loop's pipeline
+/// recurrence, where it can hide under exchanges.
+void ingestLayer(Run& run, int layer) {
+  mpi::Comm& comm = run.comm;
+  PhaseBreakdown& phases = run.stats.phases;
+  const DatasetHandle& ds = layer == 0 ? run.r : *run.s;
+  ParseStats& parseStats = layer == 0 ? run.stats.parseR : run.stats.parseS;
+  io::File file = io::File::open(comm, run.volume, ds.path, run.cfg.ioHints);
+  PartitionReader reader(comm, file, ds.partition, run.cfg.stream.chunkBytes, ds.format);
+
+  std::string text;
+  while (true) {
+    const double t0 = comm.clock().now();
+    const bool more = reader.next(text);
+    phases.read += comm.clock().now() - t0;
+    if (!more) break;
+    const double readDoneAt = comm.clock().now();
+    obs::traceSpanAt("read", t0, readDoneAt);
+
+    geom::GeometryBatch chunk;
+    ParseTiming pt;
+    const ParseStats ps = ds.format->parseChunk(text, chunk, &run.pool, &pt);
+    if (run.pool.threads() > 1) {
+      phases.workerCpu += pt.cpuSum;
+      phases.workerCritical += pt.critical;
+    }
+    parseStats.records += ps.records;
+    parseStats.badRecords += ps.badRecords;
+    parseStats.bytes += ps.bytes;
+    if (run.overlap) {
+      run.prep[layer].push_back({readDoneAt, pt.critical});
+    } else {
+      const double p0 = comm.clock().now();
+      comm.clock().advanceBy(pt.critical);
+      obs::traceSpanAt("parse", p0, comm.clock().now());
+      phases.parse += pt.critical;
+    }
+    run.localBounds.expandToInclude(chunk.bounds());
+    if (run.pilot) run.pilot->observe(chunk);
+    run.ckpt.logChunk(layer, reader.lastRanges(), text);
+    run.stage[layer].push(std::move(chunk));
+  }
+  (layer == 0 ? run.stats.ioR : run.stats.ioS) = reader.counters();
+}
+
+/// Steps 1+2 for both layers, then seal the chunk log.
+void ingest(Run& run) {
+  ingestLayer(run, 0);
+  if (run.s != nullptr) ingestLayer(run, 1);
+  run.ckpt.sealIngest();
+}
+
+/// Every rank's pilot samples in rank order: counts allgathered,
+/// envelopes gathered to rank 0 and broadcast back, so every rank sees
+/// the identical sample sequence and builds the identical map and plan
+/// with no further agreement round (DESIGN.md §13).
+std::vector<geom::Envelope> sharePilotSamples(mpi::Comm& comm, const PilotSampler& pilot) {
+  const int p = comm.size();
+  const std::uint64_t mine = pilot.envelopes.size();
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(p), 0);
+  comm.allgather(&mine, 1, mpi::Datatype::uint64(), counts.data());
+  std::uint64_t totalSamples = 0;
+  std::vector<int> recvCounts(static_cast<std::size_t>(p), 0);
+  std::vector<int> displs(static_cast<std::size_t>(p), 0);
+  for (int rk = 0; rk < p; ++rk) {
+    displs[static_cast<std::size_t>(rk)] = static_cast<int>(totalSamples * 4);
+    recvCounts[static_cast<std::size_t>(rk)] = static_cast<int>(counts[static_cast<std::size_t>(rk)] * 4);
+    totalSamples += counts[static_cast<std::size_t>(rk)];
+  }
+  std::vector<double> flat(static_cast<std::size_t>(mine) * 4);
+  for (std::size_t i = 0; i < pilot.envelopes.size(); ++i) {
+    const geom::Envelope& e = pilot.envelopes[i];
+    flat[i * 4 + 0] = e.minX();
+    flat[i * 4 + 1] = e.minY();
+    flat[i * 4 + 2] = e.maxX();
+    flat[i * 4 + 3] = e.maxY();
+  }
+  std::vector<double> all(static_cast<std::size_t>(totalSamples) * 4);
+  comm.gatherv(flat.data(), static_cast<int>(flat.size()), mpi::Datatype::float64(), all.data(),
+               recvCounts.data(), displs.data(), 0);
+  comm.bcast(all.data(), static_cast<int>(all.size()), mpi::Datatype::float64(), 0);
+  std::vector<geom::Envelope> samples;
+  samples.reserve(static_cast<std::size_t>(totalSamples));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(totalSamples); ++i) {
+    const geom::Envelope e(all[i * 4 + 0], all[i * 4 + 1], all[i * 4 + 2], all[i * 4 + 3]);
+    if (!e.isNull()) samples.push_back(e);
+  }
+  return samples;
+}
+
+/// Step 3: the global grid via MPI_UNION of local MBRs (chunked parsing
+/// folded every chunk's bounds into localBounds, so the union is
+/// identical to a whole-batch scan), the partition map (DESIGN.md §13)
+/// and the data-round schedule. The schedule is fixed up front (the
+/// counts derive from the staged chunks, allreduced): the kill point and
+/// the checkpoint epochs are defined on the global data-round index —
+/// layer R's rounds first, then layer S's — and recovery replays against
+/// the same schedule.
+void planCells(Run& run) {
+  FrameworkStats& stats = run.stats;
+  const int p = run.comm.size();
+  stats.grid = buildGlobalGrid(run.comm, run.localBounds, run.cfg.gridCells);
+  stats.partition = PartitionMap::uniform(stats.grid);
+  if (run.pilot) {
+    const std::vector<geom::Envelope> samples = sharePilotSamples(run.comm, *run.pilot);
+    stats.partition = buildPartitionMap(run.cfg.partition, stats.grid, samples, p);
+    // Plan with the measured run size: parsed records scale the sampled
+    // loads; parsed bytes per record price the predicted migration.
+    std::uint64_t localSize[2] = {stats.parseR.records + stats.parseS.records,
+                                  stats.parseR.bytes + stats.parseS.bytes};
+    std::uint64_t runSize[2] = {0, 0};
+    run.comm.allreduce(localSize, runSize, 2, mpi::Datatype::uint64(), mpi::Op::sum());
+    const double bytesPerRecord =
+        runSize[0] == 0 ? 256.0 : static_cast<double>(runSize[1]) / static_cast<double>(runSize[0]);
+    stats.plan = planPartition(stats.partition, samples, p, runSize[0], bytesPerRecord);
+  }
+  const PartitionMap& map = stats.partition;
+  if (run.cfg.rtreeCellLocator) run.locator.emplace(stats.grid);
+  if (run.ckpt.enabled()) {
+    run.ckpt.setPartitionMap(encodePartitionMap(map));
+    run.rrOwner.resize(static_cast<std::size_t>(map.cellCount()));
+    for (int c = 0; c < map.cellCount(); ++c) {
+      run.rrOwner[static_cast<std::size_t>(c)] = roundRobinOwner(c, p);
+    }
+  }
+
+  run.rounds[0] = allreduceMaxU64(run.comm, run.stage[0].pending());
+  run.rounds[1] = run.s != nullptr ? allreduceMaxU64(run.comm, run.stage[1].pending()) : 0;
+  MVIO_CHECK(run.failures.lastKillRound <= run.rounds[0] + run.rounds[1],
+             "kill point lies beyond the data-round schedule");
+}
+
+/// Charge one round's prep — the chunk's deferred parse (round overlap
+/// only) plus its grid projection — to the rank clock.
+void chargePrep(Run& run, int layer, bool hadChunk, double projectSeconds) {
+  mpi::Comm& comm = run.comm;
+  PhaseBreakdown& phases = run.stats.phases;
+  if (!run.overlap) {
+    const double pj0 = comm.clock().now();
+    comm.clock().advanceBy(projectSeconds);
+    obs::traceSpanAt("partition", pj0, comm.clock().now());
+    phases.partition += projectSeconds;
+    return;
+  }
+  // Pipeline recurrence: the chunk's prep (deferred parse + projection)
+  // starts once the prep stage is free, its read has landed, and the
+  // depth-2 buffer has room — i.e. the exchange two rounds back has
+  // completed. Only the part of the prep that outlasts "now" stalls the
+  // rank; the rest already hid under earlier exchanges and is credited
+  // to `overlapped`.
+  double parseSeconds = 0;
+  double readDoneAt = 0;
+  std::deque<ChunkPrep>& prep = run.prep[layer];
+  if (hadChunk && !prep.empty()) {
+    parseSeconds = prep.front().prepSeconds;
+    readDoneAt = prep.front().readDoneAt;
+    prep.pop_front();
+  }
+  const double now0 = comm.clock().now();
+  const double prepStart = std::max({run.prepDoneAt, readDoneAt, run.commDonePrev2});
+  run.prepDoneAt = prepStart + parseSeconds + projectSeconds;
+  const double exposed = std::max(0.0, run.prepDoneAt - now0);
+  comm.clock().advanceTo(run.prepDoneAt);
+  const double prepTotal = parseSeconds + projectSeconds;
+  // The prep stage runs concurrently with earlier exchanges — it gets its
+  // own lane so the overlap is visible in the trace, split into the phase
+  // names the breakdown charges it to.
+  if (obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr) {
+    const int lane = octx.tracer->prepLane();
+    if (parseSeconds > 0) {
+      obs::traceSpanAtLane(lane, "parse", prepStart, prepStart + parseSeconds);
+    }
+    if (projectSeconds > 0) {
+      obs::traceSpanAtLane(lane, "partition", prepStart + parseSeconds, run.prepDoneAt);
+    }
+  }
+  if (prepTotal > 0) {
+    phases.parse += exposed * (parseSeconds / prepTotal);
+    phases.partition += exposed * (projectSeconds / prepTotal);
+    phases.overlapped += prepTotal - exposed;
+  }
+}
+
+/// One exchange round, its clock delta charged to comm (buffer management
+/// + transfer, the paper's communication time) and counted.
+geom::GeometryBatch exchangeRound(Run& run, geom::GeometryBatch&& outgoing, bool last) {
+  const double t0 = run.comm.clock().now();
+  geom::GeometryBatch got =
+      exchangeByCell(run.comm, std::move(outgoing), run.owner, run.cfg.windowPhases,
+                     run.stats.partition.cellCount(), &run.stats.exchange, {}, last, &run.xscratch);
+  run.stats.phases.comm += run.comm.clock().now() - t0;
+  run.stats.phases.rounds += 1;
+  return got;
+}
+
+/// Add one round's arrivals to the owned store. Under round overlap the
+/// store-flush stage runs concurrently: the owned store's segment flushes
+/// for round N−1 run while round N's exchange is on the wire; the
+/// deferred charges queue on storeDoneAt and the residue is settled
+/// before finalize.
+void storeArrivals(Run& run, CellStore& owned, geom::GeometryBatch&& got) {
+  if (!run.overlap) {
+    owned.add(std::move(got));
+    return;
+  }
+  double banked = 0;
+  run.spiller.defer = &banked;
+  owned.add(std::move(got));
+  run.spiller.defer = nullptr;
+  const double flushStart = std::max(run.storeDoneAt, run.comm.clock().now());
+  run.storeDoneAt = flushStart + banked;
+  run.spillBanked += banked;
+  if (obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && banked > 0) {
+    obs::traceSpanAtLane(octx.tracer->flushLane(), "spill", flushStart, run.storeDoneAt);
+  }
+}
+
+/// Failure detection + cascading recovery at the first kill round
+/// (DESIGN.md §9, §11). Each iteration is one detection allgather over
+/// the current communicator (the simulation's failure detector): newly
+/// dead ranks leave with their volatile state, the survivors shrink the
+/// communicator and run a recovery pass. Ranks scheduled to die *during*
+/// that pass (or at a later round — everything past the first kill is
+/// recovery territory) are caught by the next iteration, and the loop
+/// only exits on an allgather that reports a stable survivor set. The
+/// seal-scan cache makes the repeated recovery-point scans free; seeded
+/// LPT re-homing composes across the shrinks.
+void detectAndRecover(Run& run) {
+  mpi::Comm& comm = run.comm;
+  FrameworkStats& stats = run.stats;
+  recovery::SealScanCache sealCache;
+  std::vector<int> cumulativeDead;
+  std::vector<int> priorOwner;
+  bool alive = true;
+  for (std::size_t wave = 0;; ++wave) {
+    if (wave == run.failures.myWave) alive = false;
+    const std::int32_t mine = alive ? comm.worldRank() : ~comm.worldRank();
+    std::vector<std::int32_t> flags(static_cast<std::size_t>(run.active.size()), 0);
+    run.active.allgather(&mine, 1, mpi::Datatype::int32(), flags.data());
+    std::vector<int> survivors;
+    std::vector<int> newlyDead;
+    for (const std::int32_t f : flags) {
+      (f >= 0 ? survivors : newlyDead).push_back(f >= 0 ? f : ~f);
+    }
+    if (newlyDead.empty()) break;  // stable survivor set
+    MVIO_WARN("recovery", newlyDead.size() << " rank(s) failed at round " << run.globalRound
+                                           << "; survivors: " << survivors.size());
+    mpi::Comm shrunk = run.active.split(alive ? 1 : 0, run.active.rank());
+    if (!alive) {
+      stats.recovery.died = true;
+      return;
+    }
+    run.active = shrunk;
+    std::sort(newlyDead.begin(), newlyDead.end());
+    cumulativeDead.insert(cumulativeDead.end(), newlyDead.begin(), newlyDead.end());
+    std::sort(cumulativeDead.begin(), cumulativeDead.end());
+
+    recovery::RecoveryContext ctx;
+    ctx.checkpoint = run.ckptCfg;
+    ctx.worldSize = comm.size();
+    ctx.deadRanks = cumulativeDead;
+    ctx.newlyDead = newlyDead;
+    ctx.survivorWorld = survivors;
+    ctx.priorOwner = priorOwner;
+    ctx.failRound = run.failures.firstKillRound;
+    // The first pass replays every round past the boundary, so for
+    // cascading passes the survivors already hold all rounds.
+    ctx.deliveredRound = priorOwner.empty() ? ctx.failRound : run.rounds[0] + run.rounds[1];
+    ctx.roundsPerLayer[0] = run.rounds[0];
+    ctx.roundsPerLayer[1] = run.rounds[1];
+    ctx.datasets[0] = &run.r;
+    ctx.datasets[1] = run.s;
+    ctx.grid = &stats.grid;
+    ctx.map = &stats.partition;
+    ctx.locator = run.locator ? &*run.locator : nullptr;
+    ctx.sealCache = &sealCache;
+    obs::traceBegin("recovery");
+    recovery::RecoveryOutcome outcome =
+        recovery::recoverFromFailure(run.active, run.volume, ctx, run.owned[0],
+                                     run.s != nullptr ? &run.owned[1] : nullptr, &stats.phases);
+    obs::traceEnd("recovery");
+    obs::addCount("recovery.restored_records", outcome.stats.restoredRecords);
+    obs::addCount("recovery.replayed_records", outcome.stats.replayedRecords);
+    obs::addCount("recovery.passes", 1);
+    priorOwner = std::move(outcome.cellOwner);
+    stats.recovery.recovered = true;
+    stats.recovery.deadRanks = cumulativeDead.size();
+    stats.recovery.epochUsed = outcome.stats.epochUsed;
+    stats.recovery.restoredRecords += outcome.stats.restoredRecords;
+    stats.recovery.replayedRecords += outcome.stats.replayedRecords;
+    stats.recovery.recoveryPasses += 1;
+    run.activeWorld = std::move(survivors);
+  }
+  stats.cellOwner = std::move(priorOwner);
+  run.recovered = true;
+}
+
+/// Steps 4+5 for one layer: every round projects the next staged chunk
+/// onto its cells, exchanges it and adds the arrivals to the owned
+/// store; a streaming schedule closes with the termination round.
+/// Returns false when the schedule was cut short — this rank died, or a
+/// recovery re-derived every remaining round from the durable log (no
+/// further exchanges happen either way).
+bool exchangeLayer(Run& run, int layer) {
+  mpi::Comm& comm = run.comm;
+  FrameworkStats& stats = run.stats;
+  CellStore& owned = run.owned[layer];
+  const std::uint64_t rounds = run.rounds[layer];
+  const bool streaming = run.cfg.stream.chunkBytes > 0;
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    obs::traceBegin("round");
+    geom::GeometryBatch chunk;
+    const bool hadChunk = run.stage[layer].pop(chunk);  // false → empty round for this rank
+    double projectSeconds = 0;
+    {
+      sim::ThreadCpuTimer timer;
+      chunk = projectToCells(stats.partition, run.locator ? &*run.locator : nullptr,
+                             std::move(chunk));
+      projectSeconds = timer.elapsed();
+    }
+    chargePrep(run, layer, hadChunk, projectSeconds);
+    const double t0 = comm.clock().now();
+    const std::uint64_t wire0 = stats.exchange.bytesReceived;
+    geom::GeometryBatch got =
+        exchangeRound(run, std::move(chunk), /*last=*/!streaming && round + 1 == rounds);
+    obs::traceSpanAt("comm", t0, comm.clock().now());
+    if (obs::metricsOn()) {
+      const std::uint64_t roundBytes = stats.exchange.bytesReceived - wire0;
+      obs::addCount("exchange.bytes", roundBytes);
+      obs::observe("exchange.round_bytes", static_cast<double>(roundBytes));
+    }
+    if (run.overlap) {
+      run.commDonePrev2 = run.commDonePrev1;
+      run.commDonePrev1 = comm.clock().now();
+    }
+    run.ckpt.noteRound(layer, got);
+    storeArrivals(run, owned, std::move(got));
+    run.globalRound += 1;
+    run.ckpt.maybeCheckpoint(run.globalRound, run.rrOwner);
+    if (run.globalRound == run.failures.firstKillRound) {
+      detectAndRecover(run);
+      obs::traceEnd("round");
+      return false;
+    }
+    obs::traceEnd("round");
+  }
+  if (streaming) {
+    // Termination barrier: an empty round whose header carries
+    // kRoundLast on every rank, making "no records this round" and
+    // "stream over" distinct on the wire.
+    owned.add(exchangeRound(run, geom::GeometryBatch(), /*last=*/true));
+  }
+  return true;
+}
+
+/// A rank killed by the injection hook leaves fail-stop: its volatile
+/// state — staged chunks, owned cell stores, scratch spill blobs — dies
+/// with it. Only the durable checkpoint blobs it already wrote survive on
+/// the volume. Its task never refines and it joins no further collective.
+FrameworkStats leaveDead(Run& run) {
+  run.spill.clear();
+  run.stats.spill = run.spill.stats();
+  return std::move(run.stats);
+}
+
+/// After the rounds: drop what a recovery made redundant, settle the
+/// overlap pipeline and make the stores cell-readable.
+void closeRounds(Run& run) {
+  FrameworkStats& stats = run.stats;
+  if (run.recovered) {
+    // Every remaining round was re-derived from the chunk log; the
+    // staged copies (and the dead ranks' stale deliveries they would
+    // duplicate) are discarded.
+    run.stage[0].discard();
+    run.stage[1].discard();
+    stats.activeComm = run.active;
+  }
+  if (run.overlap) {
+    // Prep entries never reached by the round loop (a recovery cut the
+    // schedule short) were still real parse CPU; account them as hidden.
+    for (std::deque<ChunkPrep>& prep : run.prep) {
+      for (const ChunkPrep& cp : prep) stats.phases.overlapped += cp.prepSeconds;
+      prep.clear();
+    }
+    // Settle the store-flush stage: whatever deferred spill time outlasts
+    // the final exchange is a real stall before refine; the rest hid.
+    const double now = run.comm.clock().now();
+    const double exposed = std::min(run.spillBanked, std::max(0.0, run.storeDoneAt - now));
+    stats.phases.spill += exposed;
+    stats.phases.overlapped += run.spillBanked - exposed;
+    run.comm.clock().advanceTo(run.storeDoneAt);
+  }
+  run.owned[0].finalize();
+  run.owned[1].finalize();
+  stats.localR = run.owned[0].records();
+  stats.localS = run.owned[1].records();
+}
+
+/// Max/mean per-rank load ratio of a cell → rank assignment (0 when no
+/// cell holds a record).
+double imbalanceOf(const std::vector<std::uint64_t>& cellLoads, const std::vector<int>& owner,
+                   int ranks) {
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(ranks), 0);
+  std::uint64_t total = 0;
+  for (std::size_t c = 0; c < cellLoads.size(); ++c) {
+    load[static_cast<std::size_t>(owner[c])] += cellLoads[c];
+    total += cellLoads[c];
+  }
+  const std::uint64_t maxLoad = *std::max_element(load.begin(), load.end());
+  const double mean = static_cast<double>(total) / static_cast<double>(ranks);
+  return total == 0 ? 0.0 : static_cast<double>(maxLoad) / mean;
+}
+
+/// Budget-bounded migration of one layer: leaving cells are extracted
+/// (ascending cell order) and shipped in passes of at most one
+/// store-budget share of staged outgoing records — one whole cell of
+/// slack for a cell larger than the share — so the transfer respects
+/// StreamConfig::memoryBudget like every other phase. The passes
+/// terminate collectively (a rank with nothing left still joins its
+/// peers' remaining rounds). Every cell moves wholly within one pass, so
+/// per-cell record order — all any consumer depends on — is identical to
+/// the single-pass transfer.
+void migrateLayer(Run& run, CellStore& store, const std::vector<int>& newLocal) {
+  mpi::Comm& active = run.active;
+  std::vector<int> leaving;
+  for (const int cell : store.cells()) {
+    if (newLocal[static_cast<std::size_t>(cell)] != active.rank()) leaving.push_back(cell);
+  }
+  const std::uint64_t passBudget = run.storeBudget == 0 ? UINT64_MAX : run.storeBudget;
+  std::size_t next = 0;
+  while (true) {
+    std::vector<geom::GeometryBatch> outgoing(static_cast<std::size_t>(active.size()));
+    std::uint64_t staged = 0;
+    while (next < leaving.size() && staged < passBudget) {
+      const int cell = leaving[next++];
+      geom::GeometryBatch extracted = store.extractCell(cell);
+      staged += extracted.memoryBytes();
+      outgoing[static_cast<std::size_t>(newLocal[static_cast<std::size_t>(cell)])].splice(
+          std::move(extracted));
+    }
+    const std::uint64_t more = allreduceMaxU64(active, next < leaving.size() ? 1 : 0);
+    geom::GeometryBatch got = migrateShards(active, std::move(outgoing), kMigrationBlobBytes,
+                                            &run.stats.balance.transport);
+    store.addMigrated(std::move(got));
+    run.stats.balance.migrationPasses += 1;
+    if (more == 0) break;
+  }
+}
+
+/// Step 5b: skew-aware owned-cell rebalancing, on the active (possibly
+/// shrunk) communicator. Every rank reduces the global per-cell loads and
+/// measures the imbalance; when it clears the adaptive threshold (and,
+/// under an adaptive map, the cost gate), all repeat the same
+/// deterministic LPT assignment and ship leaving cells point-to-point as
+/// checksummed shard blobs.
+void rebalance(Run& run) {
+  mpi::Comm& active = run.active;
+  const int ap = active.size();
+  if (!run.cfg.rebalanceCells || ap <= 1) return;
+  FrameworkStats& stats = run.stats;
+  const PartitionMap& map = stats.partition;
+  const int p = run.comm.size();
+  const double t0 = active.clock().now();
+  obs::traceBegin("migrate");
+  const double spillBefore = stats.phases.spill;
+  stats.balance.ownedRecordsBefore = stats.localR + stats.localS;
+  std::vector<std::uint64_t> loads(static_cast<std::size_t>(map.cellCount()), 0);
+  for (const CellStore& store : run.owned) store.accumulateCellLoads(loads);
+  std::vector<std::uint64_t> global(loads.size(), 0);
+  active.allreduce(loads.data(), global.data(), static_cast<int>(loads.size()),
+                   mpi::Datatype::uint64(), mpi::Op::sum());
+
+  if (run.activeWorld.empty()) {
+    run.activeWorld.resize(static_cast<std::size_t>(ap));
+    std::iota(run.activeWorld.begin(), run.activeWorld.end(), 0);
+  }
+  std::vector<int> worldToLocal(static_cast<std::size_t>(p), -1);
+  for (int local = 0; local < ap; ++local) {
+    const int world = run.activeWorld[static_cast<std::size_t>(local)];
+    worldToLocal[static_cast<std::size_t>(world)] = local;
+  }
+  // Current ownership as active-local ranks: the recovery map when one
+  // ran, round-robin over the launch size otherwise.
+  std::vector<int> currentLocal(static_cast<std::size_t>(map.cellCount()), 0);
+  for (int c = 0; c < map.cellCount(); ++c) {
+    const int world = stats.cellOwner.empty() ? roundRobinOwner(c, p)
+                                              : stats.cellOwner[static_cast<std::size_t>(c)];
+    const int local = worldToLocal[static_cast<std::size_t>(world)];
+    MVIO_CHECK(local >= 0, "rebalance: cell owned by a rank outside the active communicator");
+    currentLocal[static_cast<std::size_t>(c)] = local;
+  }
+
+  // Adaptive trigger: skip the pass — and its wire traffic — when the
+  // owned loads are already within the threshold.
+  stats.balance.imbalance = imbalanceOf(global, currentLocal, ap);
+  obs::setGauge("balance.imbalance_before", stats.balance.imbalance);
+  const bool triggered = stats.balance.imbalance >= run.cfg.rebalanceThreshold;
+  std::vector<int> proposal;
+  bool gated = false;
+  if (triggered) proposal = lptAssignCells(global, ap);
+  if (triggered && !map.isUniform()) {
+    // Adaptive maps price the proposal with the cost model: refine seconds
+    // the move would save vs wire seconds it costs at the measured shard
+    // size (allreduced, so every rank gates identically), scaled by
+    // rebalanceThreshold. Uniform maps keep the ratio-only trigger.
+    std::uint64_t localWire[2] = {stats.exchange.bytesReceived, stats.exchange.geometriesReceived};
+    std::uint64_t wire[2] = {0, 0};
+    active.allreduce(localWire, wire, 2, mpi::Datatype::uint64(), mpi::Op::sum());
+    const double bytesPerRecord =
+        wire[1] == 0 ? 256.0 : static_cast<double>(wire[0]) / static_cast<double>(wire[1]);
+    const RebalanceDecision price = priceRebalance(global, currentLocal, proposal, ap,
+                                                   bytesPerRecord, run.cfg.rebalanceThreshold);
+    stats.balance.costGainSeconds = price.gainSeconds;
+    stats.balance.costMigrateSeconds = price.migrateSeconds;
+    gated = !price.worthIt;
+  }
+
+  if (!triggered || gated) {
+    stats.balance.skipped = true;
+    stats.balance.costGated = gated;
+    stats.balance.ownedRecordsAfter = stats.balance.ownedRecordsBefore;
+    obs::setGauge("balance.imbalance_after", stats.balance.imbalance);
+  } else {
+    obs::setGauge("balance.imbalance_after", imbalanceOf(global, proposal, ap));
+    stats.cellOwner.resize(proposal.size());
+    for (std::size_t c = 0; c < proposal.size(); ++c) {
+      stats.cellOwner[c] = run.activeWorld[static_cast<std::size_t>(proposal[c])];
+      if (proposal[c] != currentLocal[c]) stats.balance.cellsMoved += 1;
+    }
+    migrateLayer(run, run.owned[0], proposal);
+    if (run.s != nullptr) migrateLayer(run, run.owned[1], proposal);
+
+    stats.balance.ownedRecordsAfter = run.owned[0].records() + run.owned[1].records();
+    stats.phases.migrateBytes = stats.balance.transport.bytesSent;
+    stats.phases.migrateRounds = stats.balance.transport.blobsSent;
+    obs::addCount("migrate.bytes", stats.balance.transport.bytesSent);
+    obs::addCount("migrate.blobs", stats.balance.transport.blobsSent);
+  }
+  // Shard reloads during cell extraction charged themselves to the spill
+  // phase; subtract them so total() counts the time once.
+  stats.phases.migrate += (active.clock().now() - t0) - (stats.phases.spill - spillBefore);
+  obs::traceEnd("migrate");
+}
+
+/// One staged cell of the refine loop: its two record spans and, in the
+/// streaming regime, the owned batches they view.
+struct CellWork {
+  int cell = 0;
+  geom::GeometryBatch r, s;  // staged owned batches (streaming)
+  geom::BatchSpan spanR, spanS;
+};
+
+/// Cut a group into `workers` contiguous ascending-cell blocks,
+/// proportional to record weight: block t is [cut[t], cut[t + 1]).
+std::vector<std::size_t> blockCuts(const std::vector<CellWork>& group, std::size_t workers) {
+  const auto weight = [](const CellWork& w) { return w.spanR.size() + w.spanS.size() + 1; };
+  std::uint64_t totalWeight = 0;
+  for (const CellWork& w : group) totalWeight += weight(w);
+  std::vector<std::size_t> cut(workers + 1, group.size());
+  cut[0] = 0;
+  std::uint64_t prefix = 0;
+  std::size_t i = 0;
+  for (std::size_t t = 0; t + 1 < workers; ++t) {
+    const std::uint64_t target = totalWeight * (t + 1) / workers;
+    while (i < group.size() && prefix < target) prefix += weight(group[i++]);
+    cut[t + 1] = i;
+  }
+  return cut;
+}
+
+/// Refine one group of staged cells (DESIGN.md §10). Worker clones each
+/// refine one block of blockCuts and merge back in worker order, which
+/// replays the ascending-cell order: bit-identical at any thread count.
+/// Without clones the task refines the whole group directly on the rank
+/// thread (through a one-thread pool its CPU would be charged twice).
+/// Returns the region's critical path to charge on top of the rank
+/// thread's CPU; `regionStart` places the worker-lane spans.
+double refineGroup(Run& run, std::vector<CellWork>& group, double regionStart) {
+  // Workers have no obs context: per-cell seconds land in a plain array
+  // each worker owns a disjoint slice of; the rank thread feeds the
+  // histogram (and the worker lanes) after the region.
+  const bool measureCells = obs::metricsOn();
+  std::vector<double> cellSeconds;
+  if (measureCells) cellSeconds.assign(group.size(), 0.0);
+  const auto refineBlock = [&](RefineTask& worker, std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const sim::ThreadCpuTimer cellTimer;
+      refineThroughMap(worker, run.stats.partition, group[k].cell, group[k].spanR, group[k].spanS);
+      if (measureCells) cellSeconds[k] = cellTimer.elapsed();
+    }
+  };
+  double critical = 0;
+  if (run.refineWorkers.empty()) {
+    refineBlock(run.task, 0, group.size());
+  } else {
+    const std::vector<std::size_t> cut = blockCuts(group, run.refineWorkers.size());
+    const util::PoolTiming pt = run.pool.runOnWorkers([&](int t) {
+      const auto w = static_cast<std::size_t>(t);
+      refineBlock(*run.refineWorkers[w], cut[w], cut[w + 1]);
+    });
+    obs::traceWorkerSpans("compute", regionStart, pt.perWorker);
+    critical = pt.cpuMax;
+    run.stats.phases.workerCpu += pt.cpuSum;
+    run.stats.phases.workerCritical += pt.cpuMax;
+    for (const auto& worker : run.refineWorkers) run.task.mergeWorker(*worker);
+  }
+  for (const double cs : cellSeconds) obs::observe("refine.cell_seconds", cs);
+  if (run.owned[0].streaming()) {
+    // Per-cell adoption in ascending order, after the merge so the task
+    // sees results before their backing arenas move.
+    for (CellWork& w : group) run.task.adoptBatches(std::move(w.r), std::move(w.s));
+  }
+  group.clear();
+  return critical;
+}
+
+/// Step 6: cell-major refine in ascending cell-id order, cells staged
+/// into groups. Resident regime: one group of zero-copy spans, the owned
+/// batches adopted whole at the end. Streaming regime: each cell decoded
+/// once into batches adopted cell by cell; a group closes at
+/// refineGroupBytes (0 without worker clones: one cell per group).
+void refine(Run& run) {
+  FrameworkStats& stats = run.stats;
+  CellStore& ownedR = run.owned[0];
+  CellStore& ownedS = run.owned[1];
+  const std::uint64_t reloadBase = ownedR.reloadBytes() + ownedS.reloadBytes();
+  // Rank-thread CPU (loop bookkeeping, group assembly, merges, adoption,
+  // and the refine itself when the task is its own worker) is measured by
+  // mainTimer; each pool region adds its critical path on top.
+  const double blockStart = run.comm.clock().now();
+  obs::traceBegin("compute");
+  const sim::ThreadCpuTimer mainTimer;
+  double workerSeconds = 0;
+  const bool streaming = ownedR.streaming();
+  const std::vector<int> cells = mergeCellLists(ownedR.cells(), ownedS.cells());
+  stats.cellsOwned = cells.size();
+  std::vector<CellWork> group;
+  if (!streaming) group.reserve(cells.size());
+  std::uint64_t groupBytes = 0;
+  // Staged streaming batches are viewed whole, through one 0..n-1 table.
+  std::vector<std::uint32_t> identity;
+  const auto dispatch = [&] {
+    if (group.empty()) return;
+    if (streaming) {
+      // Spans are built only once the group stops growing: vector growth
+      // moves the CellWork structs and the identity table.
+      for (CellWork& w : group) {
+        w.spanR = geom::BatchSpan(&w.r, identity.data(), w.r.size());
+        w.spanS = geom::BatchSpan(&w.s, identity.data(), w.s.size());
+      }
+    }
+    // Worker-lane spans start where the final advanceBy(main + worker
+    // seconds) places the region: block start plus main CPU so far plus
+    // earlier regions' critical paths.
+    workerSeconds += refineGroup(run, group, blockStart + mainTimer.elapsed() + workerSeconds);
+    groupBytes = 0;
+  };
+  for (const int cell : cells) {
+    CellWork work;
+    work.cell = cell;
+    work.spanR = ownedR.cellSpan(cell);
+    work.spanS = ownedS.cellSpan(cell);
+    if (streaming) {
+      work.r = ownedR.takeCellBatch();
+      work.s = ownedS.takeCellBatch();
+      groupBytes += work.r.memoryBytes() + work.s.memoryBytes();
+      while (identity.size() < std::max(work.r.size(), work.s.size())) {
+        identity.push_back(static_cast<std::uint32_t>(identity.size()));
+      }
+    }
+    group.push_back(std::move(work));
+    stats.refinePeakBytes = std::max(stats.refinePeakBytes,
+                                     ownedR.trackedBytes() + ownedS.trackedBytes() + groupBytes);
+    if (streaming && groupBytes >= run.refineGroupBytes) dispatch();
+  }
+  dispatch();
+  if (!streaming) {
+    // Whole-run adoption, as in the one-shot pipeline (records migrated
+    // away by rebalancing are kNoCell-tombstoned).
+    run.task.adoptBatches(ownedR.takeResidentBatch(), ownedS.takeResidentBatch());
+  }
+  const double mainSeconds = mainTimer.elapsed();
+  run.comm.clock().advanceBy(mainSeconds + workerSeconds);
+  stats.phases.compute += mainSeconds + workerSeconds;
+  obs::traceEnd("compute");
+
+  stats.refinePeakBytes = std::max({stats.refinePeakBytes, ownedR.peakBytes(), ownedS.peakBytes()});
+  // Only the refine loop's reloads; migration-extraction reloads are
+  // priced in the spill phase and counted in FrameworkStats::spill.
+  stats.phases.refineSpillBytes = ownedR.reloadBytes() + ownedS.reloadBytes() - reloadBase;
+  ownedR.releaseBlobs();
+  ownedS.releaseBlobs();
+  stats.spill = run.spill.stats();
+  run.spill.clear();
+}
+
 }  // namespace
 
 geom::GeometryBatch projectToCells(const PartitionMap& map, const CellLocator* locator,
@@ -345,818 +1175,16 @@ geom::GeometryBatch projectToCells(const PartitionMap& map, const CellLocator* l
 
 FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& r,
                                const DatasetHandle* s, const FrameworkConfig& cfg, RefineTask& task) {
-  MVIO_CHECK(cfg.gridCells >= 1, "need at least one grid cell");
-  MVIO_CHECK(r.format != nullptr && (s == nullptr || s->format != nullptr),
-             "every DatasetHandle needs a format (FormatRegistry reader or TextFormatReader)");
-  FrameworkStats stats;
-  const StreamConfig& sc = cfg.stream;
-  const std::uint64_t budget = sc.memoryBudget == 0 ? UINT64_MAX : sc.memoryBudget;
-  const int p = comm.size();
-
-  // Checkpoint/recovery setup (DESIGN.md §9). Checkpoint blob names are
-  // keyed by world rank, so the subsystem requires the launch (world)
-  // communicator when enabled.
-  recovery::CheckpointConfig ckptCfg;
-  ckptCfg.everyRounds = sc.checkpointEveryRounds;
-  ckptCfg.dir = sc.checkpointDir;
-  ckptCfg.tearEpochSeal = sc.tearEpochSeal;
-  ckptCfg.compactEveryEpochs = sc.compaction.everyEpochs;
-  recovery::CheckpointCoordinator ckpt(comm, volume, ckptCfg, &stats.phases);
-  if (ckpt.enabled()) {
-    MVIO_CHECK(comm.rank() == comm.worldRank(),
-               "checkpointing requires the world communicator (blob names are world-rank keyed)");
-  }
-
-  // Fault schedule, ordered by (boundary, recovery pass, rank).
-  std::vector<sim::FailureEvent> schedule = cfg.failSchedule;
-  std::sort(schedule.begin(), schedule.end(),
-            [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
-              return std::tie(a.afterRound, a.duringRecoveryPass, a.rank) <
-                     std::tie(b.afterRound, b.duringRecoveryPass, b.rank);
-            });
-  const bool injecting = !schedule.empty();
-  if (injecting) {
-    MVIO_CHECK(ckpt.enabled(),
-               "failure injection requires StreamConfig::checkpointEveryRounds > 0");
-    MVIO_CHECK(static_cast<int>(schedule.size()) < p,
-               "failure injection must leave at least one survivor");
-    std::vector<int> dying;
-    for (const sim::FailureEvent& ev : schedule) {
-      MVIO_CHECK(ev.rank >= 0 && ev.rank < p, "fault schedule names a rank outside the communicator");
-      MVIO_CHECK(ev.afterRound != 0, "fault schedule event without a kill round");
-      MVIO_CHECK(ev.duringRecoveryPass >= 0, "fault schedule event with a negative recovery pass");
-      dying.push_back(ev.rank);
-    }
-    std::sort(dying.begin(), dying.end());
-    MVIO_CHECK(std::adjacent_find(dying.begin(), dying.end()) == dying.end(),
-               "fault schedule kills the same rank twice");
-    MVIO_CHECK(schedule.front().duringRecoveryPass == 0,
-               "the first failure wave must strike at a round boundary, not during recovery");
-  }
-  // Group the schedule into waves: events sharing (afterRound, pass) die
-  // together; each later group is detected by the survivors' next
-  // detection allgather and triggers another recovery pass.
-  std::vector<std::vector<int>> failWaves;
-  for (std::size_t i = 0; i < schedule.size();) {
-    std::size_t j = i;
-    failWaves.emplace_back();
-    while (j < schedule.size() && schedule[j].afterRound == schedule[i].afterRound &&
-           schedule[j].duringRecoveryPass == schedule[i].duringRecoveryPass) {
-      failWaves.back().push_back(schedule[j].rank);
-      ++j;
-    }
-    i = j;
-  }
-  const std::uint64_t firstKillRound = injecting ? schedule.front().afterRound : 0;
-
-  // Per-rank worker pool (DESIGN.md §10). The rank thread keeps exclusive
-  // ownership of Comm and the sim clock; workers only ever run
-  // parse/refine bodies handed to them, and every pool region is charged
-  // to the clock afterwards by its critical path (max worker CPU).
-  MVIO_CHECK(cfg.threadsPerRank >= 1, "threadsPerRank must be at least 1");
-  std::optional<util::ThreadPool> pool;
-  if (cfg.threadsPerRank > 1) pool.emplace(cfg.threadsPerRank);
-
-  // Refine worker clones — one per pool thread. A task whose makeWorker
-  // returns nullptr opts out of parallel refine and keeps the serial loop.
-  std::vector<std::unique_ptr<RefineTask>> refineWorkers;
-  if (pool) {
-    for (int t = 0; t < cfg.threadsPerRank; ++t) {
-      std::unique_ptr<RefineTask> w = task.makeWorker();
-      if (w == nullptr) {
-        refineWorkers.clear();
-        break;
-      }
-      refineWorkers.push_back(std::move(w));
-    }
-  }
-  const bool parallelRefine = !refineWorkers.empty();
-
-  // Round overlap is defined on the chunked round schedule; a one-shot
-  // run (chunkBytes == 0) has a single round and nothing to pipeline.
-  const bool overlap = sc.overlapRounds && sc.chunkBytes > 0;
-  std::deque<ChunkPrep> prepR, prepS;
-
-  // Rank-local scratch for spilled shards; blobs are dropped on exit.
-  pfs::SpillStore spill(volume, sc.spillDir + "/rank" + std::to_string(comm.worldRank()));
-  const pfs::SpillPricer pricer = sc.spillOnPfs
-                                      ? pfs::SpillPricer::onVolume(volume, comm.nodeId())
-                                      : pfs::SpillPricer::flatRate(kNodeLocalSpillBytesPerSecond);
-  Spiller spiller{&comm, &spill, pricer, &stats.phases};
-
-  // 1+2: read and parse both layers, chunk by chunk, staging the parsed
-  // batches (under the memory budget) for the exchange rounds.
-  BatchStager stageR(spiller, "pend_r", budget);
-  BatchStager stageS(spiller, "pend_s", budget);
-  geom::Envelope localBounds;
-  // Adaptive partitioning piggybacks a pilot sample on the ingest scan —
-  // no extra read pass (DESIGN.md §13).
-  std::optional<PilotSampler> pilot;
-  if (cfg.partition.scheme != PartitionScheme::kUniform) pilot.emplace(cfg.partition);
-  ingestLayer(comm, volume, r, cfg, stageR, localBounds, stats.parseR, stats.ioR, stats.phases,
-              ckpt, 0, pool ? &*pool : nullptr, overlap ? &prepR : nullptr,
-              pilot ? &*pilot : nullptr);
-  if (s != nullptr) {
-    ingestLayer(comm, volume, *s, cfg, stageS, localBounds, stats.parseS, stats.ioS, stats.phases,
-                ckpt, 1, pool ? &*pool : nullptr, overlap ? &prepS : nullptr,
-                pilot ? &*pilot : nullptr);
-  }
-  ckpt.sealIngest();
-
-  // 3: global grid via MPI_UNION of local MBRs (both layers). Chunked
-  // parsing folded every chunk's bounds into localBounds, so the union is
-  // identical to a whole-batch scan.
-  stats.grid = buildGlobalGrid(comm, localBounds, cfg.gridCells);
-  const GridSpec& grid = stats.grid;
-
-  // 3b: partition map (DESIGN.md §13). Pilot samples are shared — counts
-  // allgathered, envelopes gathered to rank 0 in rank order and broadcast
-  // back — so every rank sees the identical sample sequence and builds
-  // the identical map and plan with no further agreement round.
-  stats.partition = PartitionMap::uniform(grid);
-  if (pilot) {
-    const std::uint64_t mine = pilot->envelopes.size();
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(p), 0);
-    comm.allgather(&mine, 1, mpi::Datatype::uint64(), counts.data());
-    std::uint64_t totalSamples = 0;
-    std::vector<int> recvCounts(static_cast<std::size_t>(p), 0);
-    std::vector<int> displs(static_cast<std::size_t>(p), 0);
-    for (int rk = 0; rk < p; ++rk) {
-      displs[static_cast<std::size_t>(rk)] = static_cast<int>(totalSamples * 4);
-      recvCounts[static_cast<std::size_t>(rk)] = static_cast<int>(counts[static_cast<std::size_t>(rk)] * 4);
-      totalSamples += counts[static_cast<std::size_t>(rk)];
-    }
-    std::vector<double> flat(static_cast<std::size_t>(mine) * 4);
-    for (std::size_t i = 0; i < pilot->envelopes.size(); ++i) {
-      const geom::Envelope& e = pilot->envelopes[i];
-      flat[i * 4 + 0] = e.minX();
-      flat[i * 4 + 1] = e.minY();
-      flat[i * 4 + 2] = e.maxX();
-      flat[i * 4 + 3] = e.maxY();
-    }
-    std::vector<double> all(static_cast<std::size_t>(totalSamples) * 4);
-    comm.gatherv(flat.data(), static_cast<int>(flat.size()), mpi::Datatype::float64(), all.data(),
-                 recvCounts.data(), displs.data(), 0);
-    comm.bcast(all.data(), static_cast<int>(all.size()), mpi::Datatype::float64(), 0);
-    std::vector<geom::Envelope> samples;
-    samples.reserve(static_cast<std::size_t>(totalSamples));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(totalSamples); ++i) {
-      const geom::Envelope e(all[i * 4 + 0], all[i * 4 + 1], all[i * 4 + 2], all[i * 4 + 3]);
-      if (!e.isNull()) samples.push_back(e);
-    }
-    stats.partition = buildPartitionMap(cfg.partition, grid, samples, p);
-    // Plan with the measured run size: parsed records scale the sampled
-    // loads; parsed bytes per record price the predicted migration.
-    std::uint64_t localSize[2] = {stats.parseR.records + stats.parseS.records,
-                                  stats.parseR.bytes + stats.parseS.bytes};
-    std::uint64_t runSize[2] = {0, 0};
-    comm.allreduce(localSize, runSize, 2, mpi::Datatype::uint64(), mpi::Op::sum());
-    const double bytesPerRecord =
-        runSize[0] == 0 ? 256.0 : static_cast<double>(runSize[1]) / static_cast<double>(runSize[0]);
-    stats.plan = planPartition(stats.partition, samples, p, runSize[0], bytesPerRecord);
-  }
-  const PartitionMap& map = stats.partition;
-  if (ckpt.enabled()) ckpt.setPartitionMap(encodePartitionMap(map));
-
-  std::optional<CellLocator> locator;
-  if (cfg.rtreeCellLocator) locator.emplace(grid);
-  auto owner = [p](int cell) { return roundRobinOwner(cell, p); };
-  std::vector<int> rrOwner;
-  if (ckpt.enabled()) {
-    rrOwner.resize(static_cast<std::size_t>(map.cellCount()));
-    for (int c = 0; c < map.cellCount(); ++c) rrOwner[static_cast<std::size_t>(c)] = owner(c);
-  }
-
-  // 4+5: project + exchange rounds per layer (communication phase).
-  // exchangeByCell charges serialization/deserialization CPU internally;
-  // the clock deltas accumulated per round therefore cover buffer
-  // management + transfer, the paper's definition of communication time.
-  // Received records accumulate into per-layer CellStores: resident when
-  // the budget is unbounded, cell-sorted spill segments otherwise.
-  const SpillChargeFn spillCharge = [&spiller](std::uint64_t bytes, bool isWrite) {
-    spiller.charge(bytes, isWrite);
-  };
-  // Two-layer runs split the refine budget between the layer stores so
-  // the reported peak (their sum) stays within the configured bound. A
-  // parallel streaming refine additionally reserves a group share out of
-  // the same budget for the per-dispatch staged cell batches, keeping the
-  // bound (plus the usual one-cell slack) intact.
-  std::uint64_t refineGroupBytes = 0;
-  std::uint64_t storePool = sc.memoryBudget;
-  if (sc.memoryBudget > 0 && parallelRefine) {
-    refineGroupBytes = std::max<std::uint64_t>(sc.memoryBudget / 4, 1);
-    storePool = std::max<std::uint64_t>(sc.memoryBudget - refineGroupBytes, 1);
-  }
-  const std::uint64_t storeBudget =
-      (s != nullptr && storePool > 0) ? std::max<std::uint64_t>(storePool / 2, 1) : storePool;
-  CellStore ownedR(&spill, "own_r", storeBudget, spillCharge);
-  CellStore ownedS(&spill, "own_s", storeBudget, spillCharge);
-
-  // The data-round schedule is fixed up front (the counts derive from the
-  // staged chunks, allreduced): the kill point and the checkpoint epochs
-  // are defined on the global data-round index — layer R's rounds first,
-  // then layer S's — and recovery replays against the same schedule.
-  const std::uint64_t roundsR = allreduceMaxU64(comm, stageR.pending());
-  const std::uint64_t roundsS = s != nullptr ? allreduceMaxU64(comm, stageS.pending()) : 0;
-  if (injecting) {
-    MVIO_CHECK(schedule.back().afterRound <= roundsR + roundsS,
-               "kill point lies beyond the data-round schedule");
-  }
-
-  mpi::Comm active = comm;  ///< shrinks to the survivors after a recovery
-  std::vector<int> activeWorld;  ///< active-local rank -> world rank (post-recovery)
-  bool recovered = false;
-  std::uint64_t globalRound = 0;
-
-  // Reused across every exchange round so the p-sized header/count
-  // vectors and the payload buffers keep their capacity between rounds.
-  ExchangeScratch xscratch;
-
-  // Round-overlap pipeline state (DESIGN.md §10), shared across layers.
-  // prepDoneAt models the prep stage (deferred parse + projection,
-  // double-buffered two rounds deep against the exchange), storeDoneAt
-  // the store-flush stage replaying deferred owned-store spill charges,
-  // commDonePrev* the last two rounds' exchange completion times.
-  double prepDoneAt = 0;
-  double commDonePrev1 = 0;
-  double commDonePrev2 = 0;
-  double storeDoneAt = 0;
-  double spillBanked = 0;
-
-  // One layer's rounds. Returns false when the schedule was cut short —
-  // this rank died, or a recovery re-derived every remaining round from
-  // the durable log (no further exchanges happen either way).
-  const auto runLayerRounds = [&](int layer, BatchStager& stage, CellStore& owned,
-                                  std::uint64_t rounds) -> bool {
-    const bool streaming = sc.chunkBytes > 0;
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-      obs::traceBegin("round");
-      geom::GeometryBatch chunk;
-      const bool hadChunk = stage.pop(chunk);  // false → empty round for this rank
-      double projectSeconds = 0;
-      {
-        sim::ThreadCpuTimer timer;
-        chunk = projectToCells(map, locator ? &*locator : nullptr, std::move(chunk));
-        projectSeconds = timer.elapsed();
-      }
-      if (overlap) {
-        // Pipeline recurrence: the chunk's prep (deferred parse +
-        // projection) starts once the prep stage is free, its read has
-        // landed, and the depth-2 buffer has room — i.e. the exchange two
-        // rounds back has completed. Only the part of the prep that
-        // outlasts "now" stalls the rank; the rest already hid under
-        // earlier exchanges and is credited to `overlapped`.
-        double parseSeconds = 0;
-        double readDoneAt = 0;
-        std::deque<ChunkPrep>& prep = layer == 0 ? prepR : prepS;
-        if (hadChunk && !prep.empty()) {
-          parseSeconds = prep.front().prepSeconds;
-          readDoneAt = prep.front().readDoneAt;
-          prep.pop_front();
-        }
-        const double now0 = comm.clock().now();
-        const double prepStart = std::max({prepDoneAt, readDoneAt, commDonePrev2});
-        prepDoneAt = prepStart + parseSeconds + projectSeconds;
-        const double exposed = std::max(0.0, prepDoneAt - now0);
-        comm.clock().advanceTo(prepDoneAt);
-        const double prepTotal = parseSeconds + projectSeconds;
-        // The prep stage runs concurrently with earlier exchanges — it
-        // gets its own lane so the overlap is visible in the trace, split
-        // into the phase names the breakdown charges it to.
-        if (obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr) {
-          const int lane = octx.tracer->prepLane();
-          if (parseSeconds > 0) {
-            obs::traceSpanAtLane(lane, "parse", prepStart, prepStart + parseSeconds);
-          }
-          if (projectSeconds > 0) {
-            obs::traceSpanAtLane(lane, "partition", prepStart + parseSeconds, prepDoneAt);
-          }
-        }
-        if (prepTotal > 0) {
-          stats.phases.parse += exposed * (parseSeconds / prepTotal);
-          stats.phases.partition += exposed * (projectSeconds / prepTotal);
-          stats.phases.overlapped += prepTotal - exposed;
-        }
-      } else {
-        const double pj0 = comm.clock().now();
-        comm.clock().advanceBy(projectSeconds);
-        obs::traceSpanAt("partition", pj0, comm.clock().now());
-        stats.phases.partition += projectSeconds;
-      }
-      const bool last = !streaming && round + 1 == rounds;
-      const double t0 = comm.clock().now();
-      const std::uint64_t wire0 = stats.exchange.bytesReceived;
-      geom::GeometryBatch got =
-          exchangeByCell(comm, std::move(chunk), owner, cfg.windowPhases, map.cellCount(),
-                         &stats.exchange, {}, last, &xscratch);
-      stats.phases.comm += comm.clock().now() - t0;
-      stats.phases.rounds += 1;
-      obs::traceSpanAt("comm", t0, comm.clock().now());
-      if (obs::metricsOn()) {
-        const std::uint64_t roundBytes = stats.exchange.bytesReceived - wire0;
-        obs::addCount("exchange.bytes", roundBytes);
-        obs::observe("exchange.round_bytes", static_cast<double>(roundBytes));
-      }
-      if (overlap) {
-        commDonePrev2 = commDonePrev1;
-        commDonePrev1 = comm.clock().now();
-      }
-      ckpt.noteRound(layer, got);
-      if (overlap) {
-        // Store-flush stage: the owned store's segment flushes for round
-        // N−1 run while round N's exchange is on the wire; the deferred
-        // charges queue on storeDoneAt and the residue is settled before
-        // finalize.
-        double banked = 0;
-        spiller.defer = &banked;
-        owned.add(std::move(got));
-        spiller.defer = nullptr;
-        const double flushStart = std::max(storeDoneAt, comm.clock().now());
-        storeDoneAt = flushStart + banked;
-        spillBanked += banked;
-        if (obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && banked > 0) {
-          obs::traceSpanAtLane(octx.tracer->flushLane(), "spill", flushStart, storeDoneAt);
-        }
-      } else {
-        owned.add(std::move(got));
-      }
-      globalRound += 1;
-      ckpt.maybeCheckpoint(globalRound, rrOwner);
-
-      if (injecting && globalRound == firstKillRound) {
-        // Failure detection + cascading recovery. Each iteration is one
-        // detection allgather over the current communicator (the
-        // simulation's failure detector): newly dead ranks leave with
-        // their volatile state, the survivors shrink the communicator
-        // and run a recovery pass. Ranks scheduled to die *during* that
-        // pass (or at a later round — everything past the first kill is
-        // recovery territory) are caught by the next iteration, and the
-        // loop only exits on an allgather that reports a stable survivor
-        // set. The seal-scan cache makes the repeated recovery-point
-        // scans free; seeded LPT re-homing composes across the shrinks.
-        recovery::SealScanCache sealCache;
-        std::vector<int> cumulativeDead;
-        std::vector<int> priorOwner;
-        bool alive = true;
-        std::size_t wave = 0;
-        while (true) {
-          if (wave < failWaves.size() &&
-              std::find(failWaves[wave].begin(), failWaves[wave].end(), comm.worldRank()) !=
-                  failWaves[wave].end()) {
-            alive = false;
-          }
-          const std::int32_t mine = alive ? comm.worldRank() : ~comm.worldRank();
-          std::vector<std::int32_t> flags(static_cast<std::size_t>(active.size()), 0);
-          active.allgather(&mine, 1, mpi::Datatype::int32(), flags.data());
-          std::vector<int> survivors;
-          std::vector<int> newlyDead;
-          for (const std::int32_t f : flags) {
-            (f >= 0 ? survivors : newlyDead).push_back(f >= 0 ? f : ~f);
-          }
-          if (newlyDead.empty()) break;  // stable survivor set
-          MVIO_WARN("recovery", newlyDead.size() << " rank(s) failed at round " << globalRound
-                                                 << "; survivors: " << survivors.size());
-          mpi::Comm shrunk = active.split(alive ? 1 : 0, active.rank());
-          if (!alive) {
-            stats.recovery.died = true;
-            obs::traceEnd("round");
-            return false;
-          }
-          active = shrunk;
-          std::sort(newlyDead.begin(), newlyDead.end());
-          cumulativeDead.insert(cumulativeDead.end(), newlyDead.begin(), newlyDead.end());
-          std::sort(cumulativeDead.begin(), cumulativeDead.end());
-
-          recovery::RecoveryContext ctx;
-          ctx.checkpoint = ckptCfg;
-          ctx.worldSize = p;
-          ctx.deadRanks = cumulativeDead;
-          ctx.newlyDead = newlyDead;
-          ctx.survivorWorld = survivors;
-          ctx.priorOwner = priorOwner;
-          ctx.failRound = firstKillRound;
-          // The first pass replays every round past the boundary, so for
-          // cascading passes the survivors already hold all rounds.
-          ctx.deliveredRound = priorOwner.empty() ? firstKillRound : roundsR + roundsS;
-          ctx.roundsPerLayer[0] = roundsR;
-          ctx.roundsPerLayer[1] = roundsS;
-          ctx.datasets[0] = &r;
-          ctx.datasets[1] = s;
-          ctx.grid = &grid;
-          ctx.map = &map;
-          ctx.locator = locator ? &*locator : nullptr;
-          ctx.shardedReplay = sc.shardedReplay;
-          ctx.sealCache = &sealCache;
-          obs::traceBegin("recovery");
-          recovery::RecoveryOutcome outcome = recovery::recoverFromFailure(
-              active, volume, ctx, ownedR, s != nullptr ? &ownedS : nullptr, &stats.phases);
-          obs::traceEnd("recovery");
-          obs::addCount("recovery.restored_records", outcome.stats.restoredRecords);
-          obs::addCount("recovery.replayed_records", outcome.stats.replayedRecords);
-          obs::addCount("recovery.passes", 1);
-          priorOwner = std::move(outcome.cellOwner);
-          stats.recovery.recovered = true;
-          stats.recovery.deadRanks = cumulativeDead.size();
-          stats.recovery.epochUsed = outcome.stats.epochUsed;
-          stats.recovery.restoredRecords += outcome.stats.restoredRecords;
-          stats.recovery.replayedRecords += outcome.stats.replayedRecords;
-          stats.recovery.recoveryPasses += 1;
-          activeWorld = std::move(survivors);
-          wave += 1;
-        }
-        stats.cellOwner = std::move(priorOwner);
-        recovered = true;
-        obs::traceEnd("round");
-        return false;
-      }
-      obs::traceEnd("round");
-    }
-    if (streaming) {
-      // Termination barrier: an empty round whose header carries
-      // kRoundLast on every rank, making "no records this round" and
-      // "stream over" distinct on the wire.
-      const double t0 = comm.clock().now();
-      geom::GeometryBatch got =
-          exchangeByCell(comm, geom::GeometryBatch(), owner, cfg.windowPhases, map.cellCount(),
-                         &stats.exchange, {}, /*lastRound=*/true, &xscratch);
-      stats.phases.comm += comm.clock().now() - t0;
-      stats.phases.rounds += 1;
-      owned.add(std::move(got));
-    }
-    return true;
-  };
-
-  bool onSchedule = runLayerRounds(0, stageR, ownedR, roundsR);
-  if (onSchedule && s != nullptr) onSchedule = runLayerRounds(1, stageS, ownedS, roundsS);
-
-  if (stats.recovery.died) {
-    // Fail-stop: the rank's volatile state — staged chunks, owned cell
-    // stores, scratch spill blobs — dies with it. Only the durable
-    // checkpoint blobs it already wrote survive on the volume. Its task
-    // never refines and it joins no further collective.
-    spill.clear();
-    stats.spill = spill.stats();
-    return stats;
-  }
-  if (recovered) {
-    // Every remaining round was re-derived from the chunk log; the
-    // staged copies (and the dead ranks' stale deliveries they would
-    // duplicate) are discarded.
-    stageR.discard();
-    stageS.discard();
-    stats.activeComm = active;
-  }
-  if (overlap) {
-    // Prep entries never reached by the round loop (a recovery cut the
-    // schedule short) were still real parse CPU; account them as hidden.
-    for (const ChunkPrep& cp : prepR) stats.phases.overlapped += cp.prepSeconds;
-    for (const ChunkPrep& cp : prepS) stats.phases.overlapped += cp.prepSeconds;
-    prepR.clear();
-    prepS.clear();
-    // Settle the store-flush stage: whatever deferred spill time outlasts
-    // the final exchange is a real stall before refine; the rest hid.
-    const double now = comm.clock().now();
-    const double exposed = std::min(spillBanked, std::max(0.0, storeDoneAt - now));
-    stats.phases.spill += exposed;
-    stats.phases.overlapped += spillBanked - exposed;
-    comm.clock().advanceTo(storeDoneAt);
-  }
-
-  ownedR.finalize();
-  ownedS.finalize();
-  stats.localR = ownedR.records();
-  stats.localS = ownedS.records();
-
-  // 5b: skew-aware owned-cell rebalancing, on the active (possibly
-  // shrunk) communicator. Every rank reduces the global per-cell loads
-  // and measures the imbalance; when it clears the adaptive threshold,
-  // all repeat the same deterministic LPT assignment and ship leaving
-  // cells point-to-point as checksummed shard blobs.
-  const int ap = active.size();
-  if (cfg.rebalanceCells && ap > 1) {
-    const double t0 = active.clock().now();
-    obs::traceBegin("migrate");
-    const double spillBefore = stats.phases.spill;
-    stats.balance.ownedRecordsBefore = ownedR.records() + ownedS.records();
-    std::vector<std::uint64_t> loads(static_cast<std::size_t>(map.cellCount()), 0);
-    ownedR.accumulateCellLoads(loads);
-    ownedS.accumulateCellLoads(loads);
-    std::vector<std::uint64_t> global(loads.size(), 0);
-    active.allreduce(loads.data(), global.data(), static_cast<int>(loads.size()),
-                     mpi::Datatype::uint64(), mpi::Op::sum());
-
-    if (activeWorld.empty()) {
-      activeWorld.resize(static_cast<std::size_t>(ap));
-      std::iota(activeWorld.begin(), activeWorld.end(), 0);
-    }
-    std::vector<int> worldToLocal(static_cast<std::size_t>(p), -1);
-    for (int local = 0; local < ap; ++local) {
-      worldToLocal[static_cast<std::size_t>(activeWorld[static_cast<std::size_t>(local)])] = local;
-    }
-    // Current ownership in world ranks: the recovery map when one ran,
-    // round-robin over the launch size otherwise.
-    const auto currentWorldOwner = [&](int cell) {
-      return stats.cellOwner.empty() ? roundRobinOwner(cell, p)
-                                     : stats.cellOwner[static_cast<std::size_t>(cell)];
-    };
-
-    // Adaptive trigger: measure the max/mean per-rank load ratio under
-    // the current map and skip the pass — and its wire traffic — when
-    // the owned loads are already within the threshold.
-    std::vector<std::uint64_t> perRank(static_cast<std::size_t>(ap), 0);
-    std::uint64_t total = 0;
-    for (int c = 0; c < map.cellCount(); ++c) {
-      const int local = worldToLocal[static_cast<std::size_t>(currentWorldOwner(c))];
-      MVIO_CHECK(local >= 0, "rebalance: cell owned by a rank outside the active communicator");
-      perRank[static_cast<std::size_t>(local)] += global[static_cast<std::size_t>(c)];
-      total += global[static_cast<std::size_t>(c)];
-    }
-    const std::uint64_t maxLoad = *std::max_element(perRank.begin(), perRank.end());
-    const double mean = static_cast<double>(total) / static_cast<double>(ap);
-    stats.balance.imbalance = total == 0 ? 0.0 : static_cast<double>(maxLoad) / mean;
-    obs::setGauge("balance.imbalance_before", stats.balance.imbalance);
-
-    // Max/mean ratio of a candidate local assignment — the "after" gauge
-    // for the report (identical arithmetic to the trigger measurement).
-    const auto imbalanceOf = [&](const std::vector<int>& owner) {
-      std::vector<std::uint64_t> load(static_cast<std::size_t>(ap), 0);
-      for (int c = 0; c < map.cellCount(); ++c) {
-        load[static_cast<std::size_t>(owner[static_cast<std::size_t>(c)])] +=
-            global[static_cast<std::size_t>(c)];
-      }
-      const std::uint64_t mx = *std::max_element(load.begin(), load.end());
-      return total == 0 ? 0.0 : static_cast<double>(mx) / mean;
-    };
-
-    // Under an adaptive map the LPT proposal is additionally priced by the
-    // cost model: refine seconds the move would save vs wire seconds it
-    // costs at the measured shard size, scaled by rebalanceThreshold. The
-    // uniform path keeps the classic ratio-only trigger byte-for-byte.
-    bool costGated = false;
-    std::vector<int> proposal;
-    if (stats.balance.imbalance >= cfg.rebalanceThreshold) {
-      proposal = lptAssignCells(global, ap);
-      if (!map.isUniform()) {
-        std::vector<int> curLocal(static_cast<std::size_t>(map.cellCount()), 0);
-        for (int c = 0; c < map.cellCount(); ++c) {
-          curLocal[static_cast<std::size_t>(c)] =
-              worldToLocal[static_cast<std::size_t>(currentWorldOwner(c))];
-        }
-        // Measured wire size per record, allreduced so every rank prices
-        // (and gates) the identical decision.
-        std::uint64_t localWire[2] = {stats.exchange.bytesReceived,
-                                      stats.exchange.geometriesReceived};
-        std::uint64_t wire[2] = {0, 0};
-        active.allreduce(localWire, wire, 2, mpi::Datatype::uint64(), mpi::Op::sum());
-        const double bytesPerRecord =
-            wire[1] == 0 ? 256.0 : static_cast<double>(wire[0]) / static_cast<double>(wire[1]);
-        const RebalanceDecision price = priceRebalance(global, curLocal, proposal, ap,
-                                                       bytesPerRecord, cfg.rebalanceThreshold);
-        stats.balance.costGainSeconds = price.gainSeconds;
-        stats.balance.costMigrateSeconds = price.migrateSeconds;
-        costGated = !price.worthIt;
-      }
-    }
-
-    if (stats.balance.imbalance < cfg.rebalanceThreshold || costGated) {
-      stats.balance.skipped = true;
-      stats.balance.costGated = costGated;
-      stats.balance.ownedRecordsAfter = stats.balance.ownedRecordsBefore;
-      obs::setGauge("balance.imbalance_after", stats.balance.imbalance);
-    } else {
-      obs::setGauge("balance.imbalance_after", imbalanceOf(proposal));
-      const std::vector<int>& newLocal = proposal;
-      std::vector<int> newWorld(newLocal.size());
-      for (std::size_t c = 0; c < newLocal.size(); ++c) {
-        newWorld[c] = activeWorld[static_cast<std::size_t>(newLocal[c])];
-      }
-      for (int c = 0; c < map.cellCount(); ++c) {
-        if (newWorld[static_cast<std::size_t>(c)] != currentWorldOwner(c)) {
-          stats.balance.cellsMoved += 1;
-        }
-      }
-      stats.cellOwner = std::move(newWorld);
-
-      // Budget-bounded migration: leaving cells are extracted (ascending
-      // cell order) and shipped in passes of at most one store-budget
-      // share of staged outgoing records — one whole cell of slack for a
-      // cell larger than the share — so the transfer respects
-      // StreamConfig::memoryBudget like every other phase. The passes
-      // terminate collectively (a rank with nothing left still joins its
-      // peers' remaining rounds). Every cell moves wholly within one
-      // pass, so per-cell record order — all any consumer depends on —
-      // is identical to the single-pass transfer.
-      const auto migrateLayer = [&](CellStore& store) {
-        std::vector<int> leaving;
-        for (const int cell : store.cells()) {
-          if (newLocal[static_cast<std::size_t>(cell)] != active.rank()) leaving.push_back(cell);
-        }
-        const std::uint64_t passBudget = storeBudget == 0 ? UINT64_MAX : storeBudget;
-        std::size_t next = 0;
-        while (true) {
-          std::vector<geom::GeometryBatch> outgoing(static_cast<std::size_t>(ap));
-          std::uint64_t staged = 0;
-          while (next < leaving.size() && staged < passBudget) {
-            const int cell = leaving[next++];
-            geom::GeometryBatch extracted = store.extractCell(cell);
-            staged += extracted.memoryBytes();
-            outgoing[static_cast<std::size_t>(newLocal[static_cast<std::size_t>(cell)])].splice(
-                std::move(extracted));
-          }
-          const std::uint64_t more = allreduceMaxU64(active, next < leaving.size() ? 1 : 0);
-          geom::GeometryBatch got = migrateShards(active, std::move(outgoing),
-                                                  kMigrationBlobBytes, &stats.balance.transport);
-          store.addMigrated(std::move(got));
-          stats.balance.migrationPasses += 1;
-          if (more == 0) break;
-        }
-      };
-      migrateLayer(ownedR);
-      if (s != nullptr) migrateLayer(ownedS);
-
-      stats.balance.ownedRecordsAfter = ownedR.records() + ownedS.records();
-      stats.phases.migrateBytes = stats.balance.transport.bytesSent;
-      stats.phases.migrateRounds = stats.balance.transport.blobsSent;
-      obs::addCount("migrate.bytes", stats.balance.transport.bytesSent);
-      obs::addCount("migrate.blobs", stats.balance.transport.blobsSent);
-    }
-    // Shard reloads during cell extraction charged themselves to the
-    // spill phase; subtract them so total() counts the time once.
-    stats.phases.migrate += (active.clock().now() - t0) - (stats.phases.spill - spillBefore);
-    obs::traceEnd("migrate");
-  }
-
-  // 6: cell-major refine. Owned cells are visited in ascending cell-id
-  // order; each cell's two record collections are served by the stores —
-  // zero-copy spans into the owned batch in the resident regime, the
-  // cell's own shards decoded once in the streaming regime, where the
-  // task also adopts the records cell by cell.
-  const std::uint64_t reloadBase = ownedR.reloadBytes() + ownedS.reloadBytes();
-  {
-    // Main-thread CPU (loop bookkeeping, group assembly, merges,
-    // adoption) is measured by mainTimer; each worker dispatch charges
-    // its critical path (max worker CPU) on top.
-    const double blockStart = comm.clock().now();
-    const bool measureCells = obs::metricsOn();
-    obs::traceBegin("compute");
-    sim::ThreadCpuTimer mainTimer;
-    double workerSeconds = 0;
-    const bool streamingRefine = ownedR.streaming();
-    const std::vector<int> cells = mergeCellLists(ownedR.cells(), ownedS.cells());
-    stats.cellsOwned = cells.size();
-
-    if (!parallelRefine) {
-      for (const int cell : cells) {
-        const geom::BatchSpan spanR = ownedR.cellSpan(cell);
-        const geom::BatchSpan spanS = ownedS.cellSpan(cell);
-        if (measureCells) {
-          sim::ThreadCpuTimer cellTimer;
-          refineThroughMap(task, map, cell, spanR, spanS);
-          obs::observe("refine.cell_seconds", cellTimer.elapsed());
-        } else {
-          refineThroughMap(task, map, cell, spanR, spanS);
-        }
-        stats.refinePeakBytes =
-            std::max(stats.refinePeakBytes, ownedR.trackedBytes() + ownedS.trackedBytes());
-        if (streamingRefine) {
-          // Per-cell adoption: the scratch batches the spans were built
-          // over move to the task, so indices it captured stay valid.
-          task.adoptBatches(ownedR.takeCellBatch(), ownedS.takeCellBatch());
-        }
-      }
-      if (!streamingRefine) {
-        // Whole-run adoption, as in the one-shot pipeline (records
-        // migrated away by rebalancing are kNoCell-tombstoned).
-        task.adoptBatches(ownedR.takeResidentBatch(), ownedS.takeResidentBatch());
-      }
-    } else {
-      // Fanned-out refine (DESIGN.md §10). Cells are staged into bounded
-      // groups; each group is cut into contiguous ascending-cell blocks,
-      // one per worker, proportional to record weight. Because the blocks
-      // are contiguous and the workers are merged back in worker order
-      // after every group, the fold into the main task replays the exact
-      // serial ascending-cell order — results are bit-identical at any
-      // thread count. The stores (not thread-safe) are only touched here
-      // on the main thread; workers read staged batches (streaming) or
-      // read-only resident spans.
-      const int nw = static_cast<int>(refineWorkers.size());
-      struct CellWork {
-        int cell = 0;
-        geom::GeometryBatch r, s;  // staged owned batches (streaming)
-        std::vector<std::uint32_t> idxR, idxS;
-        geom::BatchSpan spanR, spanS;
-      };
-      std::vector<CellWork> group;
-      std::uint64_t groupBytes = 0;
-
-      const auto sealGroupSpans = [&group] {
-        // Spans are built only once the group stops growing: vector
-        // growth moves the CellWork structs (batch arenas stay put, but
-        // the idx vectors' addresses must be final).
-        for (CellWork& w : group) {
-          w.spanR = geom::BatchSpan(&w.r, w.idxR.data(), w.idxR.size());
-          w.spanS = geom::BatchSpan(&w.s, w.idxS.data(), w.idxS.size());
-        }
-      };
-      const auto dispatchGroup = [&] {
-        if (group.empty()) return;
-        std::uint64_t totalWeight = 0;
-        for (const CellWork& w : group) totalWeight += w.spanR.size() + w.spanS.size() + 1;
-        // Deterministic proportional cuts over the weighted prefix.
-        std::vector<std::size_t> cut(static_cast<std::size_t>(nw) + 1, group.size());
-        cut[0] = 0;
-        std::uint64_t prefix = 0;
-        std::size_t i = 0;
-        for (int t = 0; t + 1 < nw; ++t) {
-          const std::uint64_t target =
-              totalWeight * static_cast<std::uint64_t>(t + 1) / static_cast<std::uint64_t>(nw);
-          while (i < group.size() && prefix < target) {
-            prefix += group[i].spanR.size() + group[i].spanS.size() + 1;
-            ++i;
-          }
-          cut[static_cast<std::size_t>(t) + 1] = i;
-        }
-        // Workers have no obs context: per-cell seconds land in a plain
-        // array each worker owns a disjoint slice of; the rank thread
-        // feeds the histogram (and the worker lanes) after the region.
-        std::vector<double> cellSeconds;
-        if (measureCells) cellSeconds.assign(group.size(), 0.0);
-        const util::PoolTiming pt = pool->runOnWorkers([&](int t) {
-          RefineTask& worker = *refineWorkers[static_cast<std::size_t>(t)];
-          for (std::size_t k = cut[static_cast<std::size_t>(t)];
-               k < cut[static_cast<std::size_t>(t) + 1]; ++k) {
-            if (measureCells) {
-              sim::ThreadCpuTimer cellTimer;
-              refineThroughMap(worker, map, group[k].cell, group[k].spanR, group[k].spanS);
-              cellSeconds[k] = cellTimer.elapsed();
-            } else {
-              refineThroughMap(worker, map, group[k].cell, group[k].spanR, group[k].spanS);
-            }
-          }
-        });
-        // Worker-lane spans: the region starts where the final
-        // advanceBy(mainSeconds + workerSeconds) will place it — block
-        // start plus main CPU so far plus earlier regions' critical paths.
-        obs::traceWorkerSpans("compute", blockStart + mainTimer.elapsed() + workerSeconds,
-                              pt.perWorker);
-        workerSeconds += pt.cpuMax;
-        stats.phases.workerCpu += pt.cpuSum;
-        stats.phases.workerCritical += pt.cpuMax;
-        for (const double cs : cellSeconds) obs::observe("refine.cell_seconds", cs);
-        for (int t = 0; t < nw; ++t) task.mergeWorker(*refineWorkers[static_cast<std::size_t>(t)]);
-        if (streamingRefine) {
-          // Per-cell adoption in ascending order, after the merge so the
-          // task sees results before their backing arenas move.
-          for (CellWork& w : group) task.adoptBatches(std::move(w.r), std::move(w.s));
-        }
-        group.clear();
-        groupBytes = 0;
-      };
-
-      for (const int cell : cells) {
-        CellWork work;
-        work.cell = cell;
-        if (streamingRefine) {
-          work.r = ownedR.takeCellAssembled(cell);
-          work.s = ownedS.takeCellAssembled(cell);
-          groupBytes += work.r.memoryBytes() + work.s.memoryBytes();
-          work.idxR.resize(work.r.size());
-          std::iota(work.idxR.begin(), work.idxR.end(), std::uint32_t{0});
-          work.idxS.resize(work.s.size());
-          std::iota(work.idxS.begin(), work.idxS.end(), std::uint32_t{0});
-        } else {
-          work.spanR = ownedR.cellSpan(cell);
-          work.spanS = ownedS.cellSpan(cell);
-        }
-        group.push_back(std::move(work));
-        stats.refinePeakBytes = std::max(
-            stats.refinePeakBytes, ownedR.trackedBytes() + ownedS.trackedBytes() + groupBytes);
-        if (streamingRefine && groupBytes >= refineGroupBytes) {
-          sealGroupSpans();
-          dispatchGroup();
-        }
-      }
-      if (streamingRefine) sealGroupSpans();
-      dispatchGroup();
-      if (!streamingRefine) {
-        task.adoptBatches(ownedR.takeResidentBatch(), ownedS.takeResidentBatch());
-      }
-    }
-    const double mainSeconds = mainTimer.elapsed();
-    comm.clock().advanceBy(mainSeconds + workerSeconds);
-    stats.phases.compute += mainSeconds + workerSeconds;
-    obs::traceEnd("compute");
-  }
-  stats.refinePeakBytes = std::max({stats.refinePeakBytes, ownedR.peakBytes(), ownedS.peakBytes()});
-  // Only the refine loop's reloads; migration-extraction reloads are
-  // priced in the spill phase and counted in FrameworkStats::spill.
-  stats.phases.refineSpillBytes = ownedR.reloadBytes() + ownedS.reloadBytes() - reloadBase;
-
-  ownedR.releaseBlobs();
-  ownedS.releaseBlobs();
-  stats.spill = spill.stats();
-  spill.clear();
-  return stats;
+  Run run(comm, volume, r, s, cfg, task, checkConfig(comm, r, s, cfg));
+  ingest(run);     // 1+2: partitioned read, parse
+  planCells(run);  // 3: global grid, partition map, round schedule
+  // 4+5: projection + all-to-all exchange, one layer's rounds at a time.
+  if (exchangeLayer(run, 0) && s != nullptr) exchangeLayer(run, 1);
+  if (run.stats.recovery.died) return leaveDead(run);
+  closeRounds(run);
+  rebalance(run);  // 5b
+  refine(run);     // 6
+  return std::move(run.stats);
 }
 
 }  // namespace mvio::core

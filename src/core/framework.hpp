@@ -13,6 +13,10 @@
 //   6. Per-cell refine tasks in ascending cell-id order, scheduled by
 //      the (possibly rebalanced) rank-to-cell mapping
 //
+// runFilterRefine runs each step as one stage function (framework.cpp);
+// step 6 is one loop whose groups the pool's worker clones refine — or
+// the task itself, when it has none.
+//
 // The pipeline runs in bounded-memory *rounds* (DESIGN.md §7–8): each
 // rank reads and parses its partition in StreamConfig::chunkBytes chunks,
 // steps 4–5 execute once per chunk (a multi-round exchange closed by a
@@ -131,13 +135,6 @@ struct StreamConfig {
   /// Checkpoint GC + epoch compaction policy (DESIGN.md §11). Disabled by
   /// default: every sealed epoch stays on the volume forever.
   CompactionPolicy compaction;
-  /// Replay strategy after a failure: when true (default) the survivors
-  /// split the unsealed chunk log by source rank and exchange re-projected
-  /// records (replay read volume O(log) in aggregate); when false every
-  /// survivor replays all ranks' logs and filters locally (the PR-5
-  /// communication-free path, O(ranks·log) reads — kept as the
-  /// equivalence reference). Results are bit-identical either way.
-  bool shardedReplay = true;
 
   // ---- Round overlap (DESIGN.md §10) ----------------------------------
   /// Double-buffered streaming: round N's exchange overlaps round N+1's
@@ -158,7 +155,8 @@ struct FrameworkConfig {
   /// Per-rank worker-pool size (util/thread_pool.hpp): chunk parsing and
   /// the cell-major refine loop fan out over this many threads, with the
   /// rank clock charged by each region's critical path. 1 = the classic
-  /// serial rank (no pool is created). Results are bit-identical at any
+  /// serial rank (the one-thread pool spawns no threads and runs every
+  /// region inline). Results are bit-identical at any
   /// value — parallel parse splices slice batches back in slice order and
   /// parallel refine visits ascending contiguous cell blocks merged in
   /// worker order (DESIGN.md §10).
@@ -187,12 +185,17 @@ struct FrameworkConfig {
   /// roughly one budget share of outgoing records (plus one cell of
   /// slack for a cell larger than the budget) at a time.
   bool rebalanceCells = false;
-  /// Adaptive rebalance trigger: the migration pass only runs when the
-  /// allreduced max/mean per-rank load ratio is at least this value.
-  /// 1.0 (or anything ≤ 1) keeps the unconditional behaviour; e.g. 1.5
-  /// skips the pass — and its wire traffic — when the owned loads are
-  /// already within 50% of the mean. The measured imbalance and the
-  /// decision are recorded in RebalanceStats either way.
+  /// Rebalance trigger: the migration pass only runs when the allreduced
+  /// max/mean per-rank load ratio is at least this value (1.5 skips it
+  /// when the loads are within 50% of the mean). Under a uniform map 1.0
+  /// rebalances unconditionally. Under an adaptive map the value also
+  /// scales the cost gate (priceRebalance: saved refine seconds must
+  /// exceed migration seconds × threshold). A move ships at least as many
+  /// records as it takes off the max rank, and the default cost model
+  /// prices a refined and a migrated record alike, plus wire time, so at
+  /// any value ≥ 1 the gate rejects every proposal: adaptive runs that
+  /// rebalance set it below 1. RebalanceStats records the measured
+  /// imbalance and the decision either way.
   double rebalanceThreshold = 1.0;
   /// Failure injection (fail-stop; requires
   /// StreamConfig::checkpointEveryRounds > 0 so survivors can recover).

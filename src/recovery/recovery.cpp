@@ -195,13 +195,12 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   auto keepReplayed = [&](int cell, std::uint64_t round) {
     return round > delivered || orphan[static_cast<std::size_t>(cell)];
   };
-  const bool sharded = ctx.shardedReplay && nSurv >= 2;
-  if (sharded) cpu.stop();  // the sharded loop charges its CPU per region
+  cpu.stop();  // the replay loop charges its CPU per region
 
-  // Source-rank block of this survivor under sharded replay: contiguous
-  // ascending blocks, so the exchange's source-rank-major output order
-  // equals the ascending source order the full replay produces — that
-  // equality is what keeps FP-sum consumers bit-identical across paths.
+  // Source-rank block of this survivor: contiguous ascending blocks, so
+  // the exchange's source-rank-major output order is the ascending source
+  // order — the order that keeps FP-sum consumers bit-identical to the
+  // failure-free run. A single survivor's block is every source.
   auto srcSurvivor = [&](int q) {
     return static_cast<int>((static_cast<std::int64_t>(q) * nSurv) / ctx.worldSize);
   };
@@ -217,7 +216,7 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
   if (sealedRound < totalRounds) {
     for (int q = 0; q < ctx.worldSize; ++q) {
-      if (sharded && srcSurvivor(q) != survivors.rank()) continue;
+      if (srcSurvivor(q) != survivors.rank()) continue;
       logs[static_cast<std::size_t>(q)] = readIngestLog(volume, ctx.checkpoint.dir, q, &bytesRead);
     }
   }
@@ -228,60 +227,37 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
     if (stores[layer] == nullptr) continue;
     MVIO_CHECK(ctx.datasets[layer] != nullptr, "recovery: no input dataset to replay from");
     const core::DatasetHandle& ds = *ctx.datasets[layer];
-    if (sharded) {
-      // Each survivor reads + re-projects only its own source block and
-      // ships every kept record to the cell's owner.
-      sim::ThreadCpuTimer localCpu;
-      geom::GeometryBatch ship;
-      for (int q = 0; q < ctx.worldSize; ++q) {
-        if (srcSurvivor(q) != survivors.rank()) continue;
-        const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
-        if (chunk >= logged.size()) continue;
-        geom::GeometryBatch raw;
-        loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
-        const geom::GeometryBatch projected =
-            core::projectToCells(map, ctx.locator, std::move(raw));
-        for (std::size_t i = 0; i < projected.size(); ++i) {
-          const int cell = projected.cell(i);
-          if (cell == geom::GeometryBatch::kNoCell) continue;
-          if (!keepReplayed(cell, t)) continue;
-          ship.appendRecordFrom(projected, i, cell);
-        }
+    // Each survivor reads + re-projects only its own source block and
+    // ships every kept record to the cell's owner.
+    sim::ThreadCpuTimer localCpu;
+    geom::GeometryBatch ship;
+    for (int q = 0; q < ctx.worldSize; ++q) {
+      if (srcSurvivor(q) != survivors.rank()) continue;
+      const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+      if (chunk >= logged.size()) continue;
+      geom::GeometryBatch raw;
+      loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
+      const geom::GeometryBatch projected =
+          core::projectToCells(map, ctx.locator, std::move(raw));
+      for (std::size_t i = 0; i < projected.size(); ++i) {
+        const int cell = projected.cell(i);
+        if (cell == geom::GeometryBatch::kNoCell) continue;
+        if (!keepReplayed(cell, t)) continue;
+        ship.appendRecordFrom(projected, i, cell);
       }
-      survivors.clock().advanceBy(localCpu.elapsed());
-      chargeReads();
-      geom::GeometryBatch got =
-          core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
-                               map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
-      sim::ThreadCpuTimer storeCpu;
-      out.stats.replayedRecords += got.size();
-      stores[layer]->add(std::move(got));
-      survivors.clock().advanceBy(storeCpu.elapsed());
-    } else {
-      geom::GeometryBatch kept;
-      for (int q = 0; q < ctx.worldSize; ++q) {
-        const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
-        if (chunk >= logged.size()) continue;
-        geom::GeometryBatch raw;
-        loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
-        const geom::GeometryBatch projected =
-            core::projectToCells(map, ctx.locator, std::move(raw));
-        for (std::size_t i = 0; i < projected.size(); ++i) {
-          const int cell = projected.cell(i);
-          if (cell == geom::GeometryBatch::kNoCell) continue;
-          if (out.cellOwner[static_cast<std::size_t>(cell)] != myWorld) continue;
-          if (!keepReplayed(cell, t)) continue;
-          kept.appendRecordFrom(projected, i, cell);
-        }
-      }
-      out.stats.replayedRecords += kept.size();
-      stores[layer]->add(std::move(kept));
-      chargeReads();
     }
+    survivors.clock().advanceBy(localCpu.elapsed());
+    chargeReads();
+    geom::GeometryBatch got =
+        core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
+                             map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
+    sim::ThreadCpuTimer storeCpu;
+    out.stats.replayedRecords += got.size();
+    stores[layer]->add(std::move(got));
+    survivors.clock().advanceBy(storeCpu.elapsed());
   }
 
   chargeReads();  // reads accumulated outside the per-round charging
-  cpu.stop();
   phases->recovery += survivors.clock().now() - t0;
   phases->recoveryBytes += bytesRead;
   phases->recoveryRounds += totalRounds - sealedRound;

@@ -34,17 +34,14 @@
 //     from: replay re-reads them from the layer's input (the
 //     DatasetHandle in the context), checks the text against the logged
 //     checksum, re-parses it with the layer's FormatReader and
-//     re-projects the records. In the default *sharded* replay the
-//     survivors split the logged chunks by source rank (contiguous
-//     blocks, so concatenating ascending survivors preserves the source
-//     order), each replays only its block, and one exchangeByCell per
-//     round routes the records to their owners — aggregate replay reads
-//     are O(log), not O(survivors·log). The full-replay fallback
-//     (shardedReplay false) keeps the communication-free path: every
-//     survivor replays all logs and filters locally. Either way, rounds
-//     already delivered (≤ deliveredRound) contribute only orphaned-cell
-//     records; rounds the failure pre-empted contribute everything the
-//     survivor owns.
+//     re-projects the records. The survivors split the logged chunks by
+//     source rank (contiguous blocks, so concatenating ascending
+//     survivors preserves the source order), each replays only its
+//     block, and one exchangeByCell per round routes the records to their
+//     owners — aggregate replay reads are O(log), not O(survivors·log).
+//     Rounds already delivered (≤ deliveredRound) contribute only
+//     orphaned-cell records; rounds the failure pre-empted contribute
+//     everything the survivor owns.
 //
 // The function is re-entrant for cascading failures: a wave of deaths
 // detected *during* recovery runs it again on the further-shrunken
@@ -96,7 +93,6 @@ struct RecoveryContext {
   /// map — the projection-drift guard. Null = uniform over `grid`.
   const core::PartitionMap* map = nullptr;
   const core::CellLocator* locator = nullptr;  ///< null = arithmetic cell lookup
-  bool shardedReplay = true;          ///< split the chunk log by source + exchange
   SealScanCache* sealCache = nullptr; ///< optional cross-pass seal-scan memo
 };
 

@@ -455,3 +455,60 @@ TEST(HybridPipeline, RangeQueryCountsMatchAcrossThreads) {
   EXPECT_GT(counts[0][1], 0u) << "the whole-world query must match records";
   EXPECT_EQ(counts[0], counts[1]) << "threaded range query must report identical counts";
 }
+
+namespace {
+
+/// Opts out of parallel refine (makeWorker stays nullptr) and logs every
+/// visit as {cell, |r|, |s|}, then the R and S record counts it adopts.
+struct RecordingTask : mc::RefineTask {
+  std::vector<std::array<std::uint64_t, 3>> log;
+  void refineCellBatch(const mc::GridSpec& /*grid*/, int cell, const mg::BatchSpan& r,
+                       const mg::BatchSpan& s) override {
+    log.push_back({static_cast<std::uint64_t>(cell), r.size(), s.size()});
+  }
+  void adoptBatches(mg::GeometryBatch&& r, mg::GeometryBatch&& s) override {
+    adopted[0] += r.size();
+    adopted[1] += s.size();
+  }
+  std::array<std::uint64_t, 2> adopted{0, 0};
+};
+
+}  // namespace
+
+TEST(HybridPipeline, TaskWithoutWorkersRefinesSeriallyUnderAPool) {
+  HybridFixture fx;
+  constexpr std::uint64_t kBudget = 32 << 10;  // HybridFixture::streamed()
+  using Seen = std::pair<std::vector<std::array<std::uint64_t, 3>>, std::array<std::uint64_t, 2>>;
+  const auto run = [&](int threads, bool streamed, std::uint64_t& peak) {
+    std::map<int, Seen> perRank;
+    std::mutex mu;
+    mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+      mc::FrameworkConfig cfg;
+      cfg.gridCells = 36;
+      cfg.threadsPerRank = threads;
+      if (streamed) cfg.stream = HybridFixture::streamed();
+      mc::DatasetHandle r{"r.wkt", fx.wkt};
+      mc::DatasetHandle s{"s.wkt", fx.wkt};
+      RecordingTask task;
+      const mc::FrameworkStats stats = mc::runFilterRefine(comm, *fx.volume, r, &s, cfg, task);
+      std::lock_guard<std::mutex> lock(mu);
+      perRank[comm.rank()] = {task.log, task.adopted};
+      peak = std::max(peak, stats.refinePeakBytes);
+    });
+    return perRank;
+  };
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "streamed" : "resident");
+    std::uint64_t serialPeak = 0, pooledPeak = 0;
+    const std::map<int, Seen> serial = run(1, streamed, serialPeak);
+    ASSERT_EQ(serial.size(), 4u);
+    ASSERT_FALSE(serial.at(0).first.empty());
+    EXPECT_GT(serial.at(0).second[0] + serial.at(0).second[1], 0u);
+    EXPECT_EQ(run(4, streamed, pooledPeak), serial)
+        << "a worker-less task must see the serial visit sequence and adopt the same records "
+           "under a 4-thread pool";
+    // No clones, no group share: every cell is dispatched on its own.
+    EXPECT_EQ(pooledPeak, serialPeak);
+    if (streamed) EXPECT_LE(pooledPeak, kBudget + kBudget / 2);
+  }
+}

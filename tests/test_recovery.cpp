@@ -511,19 +511,9 @@ TEST(CascadingFailure, SecondKillDuringRecoveryBitIdenticalWithCompaction) {
   });
   ASSERT_FALSE(base.pairs.empty());
 
-  // The uncompacted PR-5 reference: full replay (every survivor reads
-  // every chunk log), no GC, same two-kill schedule — rank 2 dies at the
-  // round-5 boundary and rank 1 dies *during* the recovery pass.
-  const JoinRun full = runJoin(fx, [](mc::JoinConfig& cfg) {
-    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__cas_full");
-    cfg.framework.stream.shardedReplay = false;
-    cfg.framework.failSchedule = {{2, 5, 0}, {1, 5, 1}};
-  });
-  EXPECT_EQ(full.died, 2);
-  EXPECT_EQ(full.recovered, 2);
-  EXPECT_EQ(full.pairs, base.pairs) << "full-replay cascade must stay bit-identical";
-
-  // The elastic path: sharded replay plus checkpoint GC + compaction.
+  // Sharded replay plus checkpoint GC + compaction, on a two-kill
+  // schedule: rank 2 dies at the round-5 boundary and rank 1 dies
+  // *during* the recovery pass.
   const JoinRun cascaded = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__cas_new");
     cfg.framework.stream.compaction.everyEpochs = 2;
@@ -539,35 +529,24 @@ TEST(CascadingFailure, SecondKillDuringRecoveryBitIdenticalWithCompaction) {
   EXPECT_EQ(cascaded.globalPairs, base.globalPairs);
   EXPECT_GT(cascaded.compactionBytes, 0u) << "the round-4 seal must have folded a base";
   EXPECT_GT(cascaded.reclaimedBytes, 0u) << "GC must delete folded deltas";
-  EXPECT_LT(cascaded.recoveryBytes, full.recoveryBytes)
-      << "compaction + sharded replay must read strictly fewer recovery bytes than the "
-         "uncompacted full-replay path on the same schedule";
 }
 
-TEST(CascadingFailure, ShardedReplayEquivalentToFullReplay) {
+TEST(CascadingFailure, ShardedReplayCascadeWithoutCompactionBitIdentical) {
   RecoveryFixture fx;
   const JoinRun base = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_base");
   });
 
-  // Same two-kill cascade, compaction off in both runs: the only variable
-  // is how the survivors split the chunk-log replay.
+  // A two-kill cascade with compaction off: the survivors split the
+  // chunk-log replay by source rank, with nothing folded to fall back on.
   const JoinRun sharded = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_shard");
     cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 1}};
   });
-  const JoinRun full = runJoin(fx, [](mc::JoinConfig& cfg) {
-    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_full");
-    cfg.framework.stream.shardedReplay = false;
-    cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 1}};
-  });
   EXPECT_EQ(sharded.died, 2);
   EXPECT_EQ(sharded.recoveryPasses, 2u);
-  EXPECT_EQ(sharded.pairs, full.pairs) << "sharded and full replay must agree record-for-record";
   EXPECT_EQ(sharded.pairs, base.pairs);
-  EXPECT_EQ(sharded.globalPairs, full.globalPairs);
-  EXPECT_LT(sharded.recoveryBytes, full.recoveryBytes)
-      << "splitting the chunk log by source rank must shrink aggregate replay reads";
+  EXPECT_EQ(sharded.globalPairs, base.globalPairs);
 }
 
 TEST(CascadingFailure, LaterRoundWaveComposesWithRebalance) {
