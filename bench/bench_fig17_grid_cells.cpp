@@ -43,7 +43,6 @@ int main() {
   const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   util::TextTable table({"cells", "partition", "comm", "join", "total", "pairs"});
   for (const int cells : {64, 256, 1024, 4096}) {
-    bench::resetModel(*volume);
     core::PhaseBreakdown maxPhases;
     std::uint64_t pairs = 0;
     mpi::Runtime::run(kProcs, sim::MachineModel::roger(kProcs / 20), [&](mpi::Comm& comm) {

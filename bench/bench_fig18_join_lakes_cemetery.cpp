@@ -40,7 +40,6 @@ int main() {
   const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   util::TextTable table({"procs", "read+parse", "partition", "comm", "join", "total", "pairs"});
   for (const int procs : {20, 40, 80, 160}) {
-    bench::resetModel(*volume);
     core::PhaseBreakdown ph;
     std::uint64_t pairs = 0;
     mpi::Runtime::run(procs, sim::MachineModel::roger(std::max(procs / 20, 1)), [&](mpi::Comm& comm) {

@@ -27,7 +27,6 @@ int main() {
   const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   util::TextTable table({"procs", "read+parse", "partition", "comm", "index", "total", "indexed"});
   for (const int procs : {80, 160, 240, 320}) {
-    bench::resetModel(*volume);
     core::PhaseBreakdown ph;
     std::uint64_t indexed = 0;
     mpi::Runtime::run(procs, sim::MachineModel::roger(procs / 20), [&](mpi::Comm& comm) {

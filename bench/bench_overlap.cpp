@@ -58,7 +58,6 @@ int main() {
   report.setup = "8 procs, t=4 +overlap, 64 cells, 64 KiB chunks, COMET 1/20 latency";
 
   for (const Config& cfg : configs) {
-    bench::resetModel(*volume);
     // The t=4 +overlap row is the tentpole configuration: it is the one
     // the flight recorder traces and the run report captures.
     const bool instrumented = cfg.threads == 4 && cfg.overlap;

@@ -74,9 +74,6 @@ int main() {
 
   const core::FormatReader* wkt = core::FormatRegistry::instance().get("wkt");
   auto runOnce = [&](pfs::Volume& volume, core::PartitionScheme scheme, bool rebalance) {
-    // Every row starts on an idle storage model: without the reset a row
-    // queues behind the OST intervals of the rows before it.
-    bench::resetModel(volume);
     Outcome out;
     std::mutex mu;
     mpi::Runtime::run(kProcs, sim::MachineModel::comet(kProcs / 2), [&](mpi::Comm& comm) {

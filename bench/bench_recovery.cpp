@@ -62,9 +62,6 @@ int main() {
   };
   auto runJoin = [&](std::uint64_t every, const std::string& dir,
                      std::vector<sim::FailureEvent> failSchedule, std::uint64_t compactEvery = 0) {
-    // Every row starts on an idle storage model: without the reset a row
-    // queues behind the OST intervals of the rows before it.
-    bench::resetModel(*volume);
     Outcome out;
     std::atomic<std::uint64_t> pairs{0}, ckptBytes{0}, ckptEpochs{0}, recBytes{0}, recRounds{0},
         epochUsed{0}, rounds{0}, compactBytes{0}, reclaimedBytes{0};

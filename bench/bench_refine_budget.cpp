@@ -62,7 +62,6 @@ int main() {
   util::TextTable table(columns);
 
   for (const Config& cfg : configs) {
-    bench::resetModel(*volume);
     core::PhaseBreakdown maxPhases;
     std::atomic<std::uint64_t> peakRefine{0};
     std::atomic<std::uint64_t> matches{0};
@@ -112,7 +111,6 @@ int main() {
   util::TextTable balanceTable({"ownership", "matches", "max before", "max after", "mean", "moved",
                                 "migr bytes", "migr blobs", "migrate t"});
   for (const bool rebalance : {false, true}) {
-    bench::resetModel(*volume);
     std::atomic<std::uint64_t> matches{0};
     std::atomic<std::uint64_t> maxBefore{0}, maxAfter{0}, total{0}, moved{0};
     std::atomic<std::uint64_t> migrBytes{0}, migrBlobs{0};

@@ -54,7 +54,6 @@ int main() {
   for (const auto& c : bench::streamPhaseColumns()) columns.push_back(c);
   util::TextTable table(columns);
   for (const Config& cfg : configs) {
-    bench::resetModel(*volume);
     const bench::Counters c0 = bench::countersNow();
     core::PhaseBreakdown maxPhases;
     std::atomic<std::uint64_t> spilledBytes{0};

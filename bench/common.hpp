@@ -112,9 +112,6 @@ inline std::shared_ptr<pfs::Volume> rogerVolume(int nodes, double scale) {
   return std::make_shared<pfs::Volume>(std::make_shared<pfs::GpfsModel>(p));
 }
 
-/// Reach into the volume and reset queue state between configurations.
-inline void resetModel(pfs::Volume& volume) { volume.model().reset(); }
-
 /// Print the standard harness header.
 inline void printHeader(const std::string& experiment, const std::string& paperSays,
                         const std::string& setup) {

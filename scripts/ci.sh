@@ -32,7 +32,9 @@
 # recovery/ or injects failures through failSchedule: test_recovery,
 # test_fault_soak, test_format_ingest, test_adaptive_partition, test_obs,
 # test_parallel_pipeline, test_codec_fuzz) / -L mpi / -L threads /
-# -L soak / -L obs.
+# -L soak / -L obs / -L ingest (partitioned reads, per-format record
+# boundaries and parallel parse: test_partition, test_format_ingest,
+# test_parallel_pipeline, test_wkt_wkb).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

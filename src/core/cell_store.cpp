@@ -174,9 +174,9 @@ geom::BatchSpan CellStore::cellSpan(int cell) {
   }
   scratch_ = geom::GeometryBatch();
   assembleCell(cell, scratch_, /*extract=*/false);
-  scratchIdx_.resize(scratch_.size());
-  for (std::size_t k = 0; k < scratch_.size(); ++k) {
-    scratchIdx_[k] = static_cast<std::uint32_t>(k);
+  // Grow-only identity table: extended only past the largest cell so far.
+  while (scratchIdx_.size() < scratch_.size()) {
+    scratchIdx_.push_back(static_cast<std::uint32_t>(scratchIdx_.size()));
   }
   return {&scratch_, scratchIdx_.data(), scratch_.size()};
 }

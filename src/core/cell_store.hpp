@@ -140,7 +140,7 @@ class CellStore {
   // Streaming state: per segment, its shards in ascending cell order.
   std::vector<std::vector<ShardRef>> segments_;
   geom::GeometryBatch scratch_;
-  std::vector<std::uint32_t> scratchIdx_;
+  std::vector<std::uint32_t> scratchIdx_;  ///< identity 0..n-1, grown to the largest cell
   std::size_t shardSeq_ = 0;  ///< unique shard-name counter
 };
 

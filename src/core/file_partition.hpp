@@ -7,7 +7,7 @@
 //
 //  * kMessage — "dynamic file partitioning" (Algorithm 1): ranks read
 //    non-overlapping fixed blocks; the dangling fragment after each
-//    rank's last delimiter is passed to the successor rank with ring
+//    rank's last record boundary is passed to the successor rank with ring
 //    send/recv. Even ranks send-then-recv, odd ranks recv-then-send —
 //    the paper's deadlock-avoidance split. Rank N-1's fragment wraps to
 //    rank 0, where it prepends rank 0's *next-iteration* block.
@@ -19,6 +19,10 @@
 //
 // Both honour the ROMIO 2 GB-per-operation limit via block iteration, and
 // both support Level 0 (independent) and Level 1 (collective) reads.
+// Where a record ends is the FormatReader's call alone (core/format.hpp):
+// both strategies ask its splitBoundary / firstBoundary / nextBoundary,
+// so a text format's delimiter and a binary format's length headers cut
+// blocks the same way.
 
 #include <cstdint>
 #include <string>
@@ -46,10 +50,6 @@ struct PartitionConfig {
   BoundaryStrategy strategy = BoundaryStrategy::kMessage;
   /// Level 1 (collective read_at_all) instead of Level 0 (independent).
   bool collectiveRead = false;
-  /// Record delimiter — used by the default text formats. Binary formats
-  /// (FormatReader::framing() == kFramed) resolve boundaries by walking
-  /// record length headers instead and never consult this byte.
-  char delimiter = '\n';
 };
 
 /// A byte range [offset, offset + length) of the input file.
@@ -62,8 +62,8 @@ struct FileRange {
 
 /// Per-rank outcome of a partitioned read.
 struct PartitionResult {
-  /// This rank's complete records (delimiter-separated, possibly with a
-  /// leading fragment joined from the predecessor).
+  /// This rank's complete records (possibly with a leading fragment
+  /// joined from the predecessor).
   std::string text;
   std::uint64_t bytesRead = 0;       ///< bytes physically read (incl. halo redundancy)
   std::uint64_t iterations = 0;      ///< file-read iterations executed
@@ -92,11 +92,9 @@ struct PartitionResult {
 /// simply yield empty text.
 class PartitionReader {
  public:
-  /// `format` (optional, non-owning) supplies record boundary resolution.
-  /// Null or a delimited format keeps the classic delimiter scans; a
-  /// framed format (length-prefixed WKB records) resolves boundaries by
-  /// walking record headers — under both strategies and in streaming
-  /// chunk rounds alike.
+  /// `format` (optional, non-owning) supplies record boundary resolution
+  /// under both strategies and in streaming chunk rounds alike; null
+  /// means the registry's "wkt" reader (newline-terminated records).
   PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
                   std::uint64_t chunkBytes = 0, const FormatReader* format = nullptr);
 
@@ -127,7 +125,7 @@ class PartitionReader {
   mpi::Comm* comm_;
   io::File* file_;
   PartitionConfig cfg_;
-  const FormatReader* fmt_ = nullptr;  ///< null → delimiter-scan boundaries
+  const FormatReader* fmt_;  ///< record boundary resolution (never null)
   bool streaming_ = false;
   std::uint64_t blockSize_ = 0;
   std::uint64_t fileSize_ = 0;

@@ -20,10 +20,10 @@ namespace {
 constexpr std::uint64_t kMinWkbPayload = 5;
 
 /// Record-size bound used when slicing an already boundary-aligned chunk
-/// for parallel decode (parseChunk has no PartitionConfig in hand). Only
+/// for parallel parse (parseChunk has no PartitionConfig in hand). Only
 /// insane lengths need rejecting there; a record bigger than this simply
 /// leaves the chunk tail in one slice.
-constexpr std::uint64_t kWkbSliceRecordBound = 1ull << 30;
+constexpr std::uint64_t kSliceRecordBound = 1ull << 30;
 
 struct RecordHeader {
   std::uint32_t magic = 0;
@@ -92,6 +92,71 @@ std::uint64_t findDelim(std::string_view buf, std::uint64_t from, char delim) {
 
 }  // namespace
 
+// ---- Slicing and the parallel parse driver ------------------------------
+
+std::vector<std::string_view> FormatReader::slice(std::string_view text, int count) const {
+  MVIO_CHECK(count >= 1, "FormatReader::slice: need at least one slice");
+  const std::uint64_t n = text.size();
+  const auto slices = static_cast<std::size_t>(count);
+  // Cut points: raw k*n/count offsets, each advanced along the reader's
+  // own boundary walk. Monotone by construction, so the slices tile the
+  // text exactly and ParseStats::bytes sums to the serial value.
+  std::vector<std::uint64_t> cuts(slices + 1, n);
+  cuts[0] = 0;
+  std::uint64_t walker = 0;  // last known boundary, monotone across cuts
+  for (std::size_t k = 1; k < slices; ++k) {
+    const std::uint64_t raw = std::max<std::uint64_t>(k * n / slices, walker);
+    const std::uint64_t b = nextBoundary(text, walker, raw, kSliceRecordBound);
+    if (b == npos) break;  // remaining cuts stay at n: tail in one slice
+    cuts[k] = walker = b;
+  }
+  std::vector<std::string_view> out;
+  out.reserve(slices);
+  for (std::size_t k = 0; k < slices; ++k) {
+    out.push_back(text.substr(static_cast<std::size_t>(cuts[k]),
+                              static_cast<std::size_t>(cuts[k + 1] - cuts[k])));
+  }
+  return out;
+}
+
+ParseStats FormatReader::parseChunk(std::string_view text, geom::GeometryBatch& out,
+                                    util::ThreadPool* pool, ParseTiming* timing) const {
+  if (pool == nullptr || pool->threads() <= 1) {
+    sim::ThreadCpuTimer timer;
+    const ParseStats stats = parseSlice(text, out);
+    if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
+    return stats;
+  }
+
+  const std::vector<std::string_view> parts = slice(text, pool->threads());
+  std::vector<geom::GeometryBatch> batches(parts.size());
+  std::vector<ParseStats> partStats(parts.size());
+  const util::PoolTiming pt = pool->runOnWorkers([&](int w) {
+    const auto k = static_cast<std::size_t>(w);
+    partStats[k] = parseSlice(parts[k], batches[k]);
+  });
+  if (const obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && octx.clock != nullptr) {
+    obs::traceWorkerSpans("parse", octx.clock->now(), pt.perWorker);
+  }
+
+  // Splice back in slice order — the only serial step, charged on the
+  // critical path. Slice 0 into an empty `out` adopts the arenas (no copy).
+  sim::ThreadCpuTimer mergeTimer;
+  ParseStats stats;
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    out.splice(std::move(batches[k]));
+    stats.records += partStats[k].records;
+    stats.badRecords += partStats[k].badRecords;
+    stats.bytes += partStats[k].bytes;
+  }
+  const double merge = mergeTimer.elapsed();
+  if (timing != nullptr) {
+    timing->cpuSum = pt.cpuSum + merge;
+    timing->critical = pt.cpuMax + merge;
+  }
+  return stats;
+}
+
 // ---- Framed record writer ----------------------------------------------
 
 void appendWkbRecord(const geom::GeometryBatch& b, std::size_t i, std::string& out) {
@@ -128,11 +193,15 @@ TextFormatReader::TextFormatReader(std::string name, std::unique_ptr<const Parse
 
 std::int64_t TextFormatReader::splitBoundary(std::string_view block,
                                              std::uint64_t /*maxRecordBytes*/) const {
+  // Backward scan for the last delimiter (Algorithm 1 lines 9-11).
   const char delim = parser_->delimiter();
-  for (std::size_t i = block.size(); i > 0; --i) {
-    if (block[i - 1] == delim) return static_cast<std::int64_t>(i);
-  }
-  return -1;
+#if defined(__GLIBC__)
+  const void* p = ::memrchr(block.data(), delim, block.size());
+  return p == nullptr ? -1 : static_cast<const char*>(p) - block.data() + 1;
+#else
+  const std::size_t last = block.rfind(delim);
+  return last == std::string_view::npos ? -1 : static_cast<std::int64_t>(last) + 1;
+#endif
 }
 
 std::uint64_t TextFormatReader::firstBoundary(std::string_view buf, std::uint64_t from,
@@ -149,15 +218,8 @@ std::uint64_t TextFormatReader::nextBoundary(std::string_view buf,
   return d == npos ? npos : d + 1;
 }
 
-ParseStats TextFormatReader::parseChunk(std::string_view text, geom::GeometryBatch& out,
-                                        util::ThreadPool* pool, ParseTiming* timing) const {
-  if (pool != nullptr && pool->threads() > 1) {
-    return parser_->parseAllParallel(text, out, *pool, timing);
-  }
-  sim::ThreadCpuTimer timer;
-  const ParseStats stats = parser_->parseAll(text, out);
-  if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
-  return stats;
+ParseStats TextFormatReader::parseSlice(std::string_view text, geom::GeometryBatch& out) const {
+  return parser_->parseAll(text, out);
 }
 
 // ---- WkbFormatReader ----------------------------------------------------
@@ -204,7 +266,7 @@ std::uint64_t WkbFormatReader::nextBoundary(std::string_view buf, std::uint64_t 
   return pos;
 }
 
-ParseStats WkbFormatReader::parseSerial(std::string_view text, geom::GeometryBatch& out) const {
+ParseStats WkbFormatReader::parseSlice(std::string_view text, geom::GeometryBatch& out) const {
   const std::uint64_t n = text.size();
   out.reserveRecords(static_cast<std::size_t>(n) / 64 + 1, 8, 8);
   ParseStats stats;
@@ -247,76 +309,6 @@ ParseStats WkbFormatReader::parseSerial(std::string_view text, geom::GeometryBat
       ++stats.badRecords;
     }
     pos += total;
-  }
-  return stats;
-}
-
-std::vector<std::string_view> WkbFormatReader::sliceFramedRecords(
-    std::string_view text, int slices, std::uint64_t maxRecordBytes) const {
-  MVIO_CHECK(slices >= 1, "sliceFramedRecords: need at least one slice");
-  const std::uint64_t n = text.size();
-  const auto count = static_cast<std::uint64_t>(slices);
-  // Cut points: raw k*n/slices offsets, each advanced along the record
-  // chain to the next boundary — the framed analogue of sliceRecords'
-  // delimiter advance. On a garbage chain the remainder lands in one
-  // slice, so badRecord accounting matches the serial scan exactly.
-  std::vector<std::uint64_t> cuts(static_cast<std::size_t>(count) + 1, n);
-  cuts[0] = 0;
-  std::uint64_t walker = 0;  // last known boundary, monotone across cuts
-  for (std::uint64_t k = 1; k < count; ++k) {
-    std::uint64_t raw = k * n / count;
-    if (raw < cuts[static_cast<std::size_t>(k - 1)]) raw = cuts[static_cast<std::size_t>(k - 1)];
-    const std::uint64_t b = nextBoundary(text, walker, raw, maxRecordBytes);
-    if (b == npos) break;  // remaining cuts stay at n: tail in one slice
-    cuts[static_cast<std::size_t>(k)] = b;
-    walker = b;
-  }
-  std::vector<std::string_view> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t lo = cuts[static_cast<std::size_t>(k)];
-    const std::uint64_t hi = cuts[static_cast<std::size_t>(k) + 1];
-    out.push_back(text.substr(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)));
-  }
-  return out;
-}
-
-ParseStats WkbFormatReader::parseChunk(std::string_view text, geom::GeometryBatch& out,
-                                       util::ThreadPool* pool, ParseTiming* timing) const {
-  const int slices = pool != nullptr ? pool->threads() : 1;
-  if (slices <= 1) {
-    sim::ThreadCpuTimer timer;
-    const ParseStats stats = parseSerial(text, out);
-    if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
-    return stats;
-  }
-
-  // Mirror Parser::parseAllParallel: record-aligned slices, per-worker
-  // private batches, splice back in slice order — bit-identical to serial.
-  const std::vector<std::string_view> parts =
-      sliceFramedRecords(text, slices, kWkbSliceRecordBound);
-  std::vector<geom::GeometryBatch> batches(parts.size());
-  std::vector<ParseStats> partStats(parts.size());
-  const util::PoolTiming pt = pool->runOnWorkers([&](int w) {
-    const auto k = static_cast<std::size_t>(w);
-    partStats[k] = parseSerial(parts[k], batches[k]);
-  });
-  if (const obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && octx.clock != nullptr) {
-    obs::traceWorkerSpans("parse", octx.clock->now(), pt.perWorker);
-  }
-
-  sim::ThreadCpuTimer mergeTimer;
-  ParseStats stats;
-  for (std::size_t k = 0; k < parts.size(); ++k) {
-    out.splice(std::move(batches[k]));
-    stats.records += partStats[k].records;
-    stats.badRecords += partStats[k].badRecords;
-    stats.bytes += partStats[k].bytes;
-  }
-  const double merge = mergeTimer.elapsed();
-  if (timing != nullptr) {
-    timing->cpuSum = pt.cpuSum + merge;
-    timing->critical = pt.cpuMax + merge;
   }
   return stats;
 }

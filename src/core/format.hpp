@@ -3,15 +3,18 @@
 //
 // Everything the pipeline reads used to funnel through the WKT text
 // scanner; with fast parallel I/O that made parse the dominant CPU cost
-// (bench_fig14). A FormatReader abstracts the two things the pipeline
-// actually needs from an input encoding:
+// (bench_fig14). A FormatReader is the only code that knows how an
+// encoding frames its records, and answers the two things the pipeline
+// needs from it:
 //
 //   * record boundary resolution — where may a raw file block be cut so
-//     both sides hold whole records? Text formats answer with delimiter
-//     scans; the binary WKB record format walks length-prefixed headers
-//     (no scan ever touches record payloads).
-//   * chunk parsing — turn one boundary-aligned chunk into GeometryBatch
-//     arenas, fanning out over the rank's worker pool when one exists.
+//     both sides hold whole records? Text formats scan for their parser's
+//     delimiter; the binary WKB record format walks length-prefixed
+//     headers (no scan ever touches record payloads). PartitionReader and
+//     the parse slicer ask nothing else.
+//   * chunk parsing — one driver (parseChunk) for every format: slice()
+//     cuts record-aligned slices, pool workers run the format's
+//     parseSlice, and the batches splice back in slice order.
 //
 // The length-prefixed WKB record format framed here mirrors the exchange
 // wire layout (core/exchange.cpp — [cell][userLen][wkbLen][user][wkb])
@@ -32,6 +35,7 @@
 
 #include "core/parser.hpp"
 #include "geom/geometry_batch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvio::core {
 
@@ -48,24 +52,15 @@ void appendWkbRecord(const geom::GeometryBatch& b, std::size_t i, std::string& o
 /// corpus-writer convenience; the batch overload is the hot path).
 void appendWkbRecord(const geom::Geometry& g, std::string_view userData, std::string& out);
 
-/// How a format's records are delimited on disk.
-enum class Framing {
-  kDelimited,  ///< records separated by a delimiter byte (text formats)
-  kFramed,     ///< records carry length-prefixed headers (binary formats)
-};
-
-/// One ingest format: boundary resolution + chunk parsing. Implementations
-/// must be stateless per call (const, shared across ranks and worker
-/// threads). Register instances in the FormatRegistry or hand them to
-/// DatasetHandle::format directly.
+/// One ingest format: boundary resolution + per-slice parsing.
+/// Implementations must be stateless per call (const, shared across ranks
+/// and worker threads). Register instances in the FormatRegistry or hand
+/// them to DatasetHandle::format directly.
 class FormatReader {
  public:
   virtual ~FormatReader() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual Framing framing() const = 0;
-  /// Delimiter byte for kDelimited formats (unused for kFramed).
-  [[nodiscard]] virtual char delimiter() const { return '\n'; }
 
   /// One past the last record boundary in `block` — a raw kMessage file
   /// block that may begin mid-record. Bytes past the returned offset are
@@ -90,20 +85,36 @@ class FormatReader {
                                                    std::uint64_t knownBoundary, std::uint64_t from,
                                                    std::uint64_t maxRecordBytes) const = 0;
 
+  /// Parse one record-aligned slice into `out`, serially. Called on pool
+  /// workers concurrently (each with its own `out`), so it must touch no
+  /// shared mutable state.
+  virtual ParseStats parseSlice(std::string_view text, geom::GeometryBatch& out) const = 0;
+
+  /// Cut a boundary-aligned chunk into at most `count` record-aligned
+  /// ranges that tile it exactly: each interior cut k*n/count advances to
+  /// the next boundary along nextBoundary, so a record crossing a raw cut
+  /// point belongs wholly to the slice where it starts. Trailing slices
+  /// may be empty (short texts); on a chain nextBoundary cannot follow
+  /// (no further delimiter, a garbage header) the rest of the chunk lands
+  /// in one slice, so bad-record counts match the serial parse.
+  [[nodiscard]] std::vector<std::string_view> slice(std::string_view text, int count) const;
+
   /// Parse one boundary-aligned chunk into `out`. With a pool of >1
-  /// threads the format fans out over record-boundary slices exactly like
-  /// Parser::parseAllParallel (results bit-identical to serial); `timing`
-  /// (optional) reports the region's total CPU and critical path for the
-  /// caller to charge to the rank clock.
-  virtual ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out,
-                                util::ThreadPool* pool, ParseTiming* timing = nullptr) const = 0;
+  /// threads, slice() cuts the chunk, each worker runs parseSlice into a
+  /// private batch, and the batches splice back into `out` in slice
+  /// order: records, arena bytes and the summed ParseStats are identical
+  /// to the serial parse (DESIGN.md §10). The caller's clock is NOT
+  /// charged; `timing` (optional) reports the region's total CPU and
+  /// critical path for the caller to charge.
+  ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out, util::ThreadPool* pool,
+                        ParseTiming* timing = nullptr) const;
 
   static constexpr std::uint64_t npos = UINT64_MAX;
 };
 
 /// Adapter wrapping a delimiter-based text Parser (WKT, CSV, user
-/// formats) as a FormatReader — the behavior-preserving default every
-/// existing pipeline runs through.
+/// formats) as a FormatReader: boundaries are the parser's delimiter()
+/// byte, slices parse through Parser::parseAll.
 class TextFormatReader final : public FormatReader {
  public:
   /// Non-owning view over an externally held parser (how a custom text
@@ -113,8 +124,6 @@ class TextFormatReader final : public FormatReader {
   TextFormatReader(std::string name, std::unique_ptr<const Parser> parser);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] Framing framing() const override { return Framing::kDelimited; }
-  [[nodiscard]] char delimiter() const override { return parser_->delimiter(); }
   [[nodiscard]] std::int64_t splitBoundary(std::string_view block,
                                            std::uint64_t maxRecordBytes) const override;
   [[nodiscard]] std::uint64_t firstBoundary(std::string_view buf, std::uint64_t from,
@@ -122,8 +131,7 @@ class TextFormatReader final : public FormatReader {
   [[nodiscard]] std::uint64_t nextBoundary(std::string_view buf, std::uint64_t knownBoundary,
                                            std::uint64_t from,
                                            std::uint64_t maxRecordBytes) const override;
-  ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out, util::ThreadPool* pool,
-                        ParseTiming* timing) const override;
+  ParseStats parseSlice(std::string_view text, geom::GeometryBatch& out) const override;
 
  private:
   std::string name_;
@@ -132,7 +140,7 @@ class TextFormatReader final : public FormatReader {
 };
 
 /// Length-prefixed WKB records: boundary resolution walks the 12-byte
-/// headers, parseChunk decodes each record's WKB payload straight into the
+/// headers, parseSlice decodes each record's WKB payload straight into the
 /// batch arenas (columnar, the default) or through a materialized Geometry
 /// (the equivalence/bench reference when `columnar` is false).
 class WkbFormatReader final : public FormatReader {
@@ -140,7 +148,6 @@ class WkbFormatReader final : public FormatReader {
   explicit WkbFormatReader(bool columnar = true) : columnar_(columnar) {}
 
   [[nodiscard]] std::string_view name() const override { return "wkb"; }
-  [[nodiscard]] Framing framing() const override { return Framing::kFramed; }
   [[nodiscard]] std::int64_t splitBoundary(std::string_view block,
                                            std::uint64_t maxRecordBytes) const override;
   [[nodiscard]] std::uint64_t firstBoundary(std::string_view buf, std::uint64_t from,
@@ -148,17 +155,9 @@ class WkbFormatReader final : public FormatReader {
   [[nodiscard]] std::uint64_t nextBoundary(std::string_view buf, std::uint64_t knownBoundary,
                                            std::uint64_t from,
                                            std::uint64_t maxRecordBytes) const override;
-  ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out, util::ThreadPool* pool,
-                        ParseTiming* timing) const override;
-
-  /// Cut a boundary-aligned chunk into at most `slices` record-aligned
-  /// ranges tiling it exactly (the framed analogue of sliceRecords;
-  /// exposed for the slice tests).
-  [[nodiscard]] std::vector<std::string_view> sliceFramedRecords(
-      std::string_view text, int slices, std::uint64_t maxRecordBytes) const;
+  ParseStats parseSlice(std::string_view text, geom::GeometryBatch& out) const override;
 
  private:
-  ParseStats parseSerial(std::string_view text, geom::GeometryBatch& out) const;
   bool columnar_;
 };
 

@@ -635,14 +635,23 @@ void chargePrep(Run& run, int layer, bool hadChunk, double projectSeconds) {
 }
 
 /// One exchange round, its clock delta charged to comm (buffer management
-/// + transfer, the paper's communication time) and counted.
+/// + transfer, the paper's communication time), traced as one `comm` span
+/// and counted, with its received bytes sampled.
 geom::GeometryBatch exchangeRound(Run& run, geom::GeometryBatch&& outgoing, bool last) {
   const double t0 = run.comm.clock().now();
+  const std::uint64_t wire0 = run.stats.exchange.bytesReceived;
   geom::GeometryBatch got =
       exchangeByCell(run.comm, std::move(outgoing), run.owner, run.cfg.windowPhases,
                      run.stats.partition.cellCount(), &run.stats.exchange, {}, last, &run.xscratch);
-  run.stats.phases.comm += run.comm.clock().now() - t0;
+  const double t1 = run.comm.clock().now();
+  run.stats.phases.comm += t1 - t0;
   run.stats.phases.rounds += 1;
+  obs::traceSpanAt("comm", t0, t1);
+  if (obs::metricsOn()) {
+    const std::uint64_t roundBytes = run.stats.exchange.bytesReceived - wire0;
+    obs::addCount("exchange.bytes", roundBytes);
+    obs::observe("exchange.round_bytes", static_cast<double>(roundBytes));
+  }
   return got;
 }
 
@@ -772,16 +781,8 @@ bool exchangeLayer(Run& run, int layer) {
       projectSeconds = timer.elapsed();
     }
     chargePrep(run, layer, hadChunk, projectSeconds);
-    const double t0 = comm.clock().now();
-    const std::uint64_t wire0 = stats.exchange.bytesReceived;
     geom::GeometryBatch got =
         exchangeRound(run, std::move(chunk), /*last=*/!streaming && round + 1 == rounds);
-    obs::traceSpanAt("comm", t0, comm.clock().now());
-    if (obs::metricsOn()) {
-      const std::uint64_t roundBytes = stats.exchange.bytesReceived - wire0;
-      obs::addCount("exchange.bytes", roundBytes);
-      obs::observe("exchange.round_bytes", static_cast<double>(roundBytes));
-    }
     if (run.overlap) {
       run.commDonePrev2 = run.commDonePrev1;
       run.commDonePrev1 = comm.clock().now();

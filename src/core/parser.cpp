@@ -4,8 +4,6 @@
 #include <cstring>
 
 #include "geom/wkt.hpp"
-#include "obs/trace.hpp"
-#include "sim/clock.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -85,30 +83,6 @@ ParseStats splitRecords(std::string_view text, char delim, Handler&& handle) {
 
 }  // namespace
 
-std::vector<std::string_view> sliceRecords(std::string_view text, char delim, int slices) {
-  MVIO_CHECK(slices >= 1, "sliceRecords: need at least one slice");
-  const std::size_t n = text.size();
-  const auto count = static_cast<std::size_t>(slices);
-  // Cut points: raw k*n/slices offsets, each advanced to one past the next
-  // delimiter (or the end). Monotonic by construction, so the slices tile
-  // the text exactly and ParseStats::bytes sums to the serial value.
-  std::vector<std::size_t> cuts(count + 1, n);
-  cuts[0] = 0;
-  for (std::size_t k = 1; k < count; ++k) {
-    std::size_t raw = k * n / count;
-    if (raw < cuts[k - 1]) raw = cuts[k - 1];
-    const char* nl = raw < n ? static_cast<const char*>(std::memchr(text.data() + raw, delim, n - raw))
-                             : nullptr;
-    cuts[k] = nl != nullptr ? static_cast<std::size_t>(nl - text.data()) + 1 : n;
-  }
-  std::vector<std::string_view> out;
-  out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    out.push_back(text.substr(cuts[k], cuts[k + 1] - cuts[k]));
-  }
-  return out;
-}
-
 ParseStats Parser::parseAll(std::string_view text,
                             const std::function<void(geom::Geometry&&)>& sink) const {
   geom::Geometry g;
@@ -126,43 +100,6 @@ ParseStats Parser::parseAll(std::string_view text, geom::GeometryBatch& out) con
   out.reserveRecords(text.size() / 64 + 1, 8, 8);
   return splitRecords(text, delimiter(),
                       [&](std::string_view record) { return parseRecordInto(record, out); });
-}
-
-ParseStats Parser::parseAllParallel(std::string_view text, geom::GeometryBatch& out,
-                                    util::ThreadPool& pool, ParseTiming* timing) const {
-  const int slices = pool.threads();
-  if (slices <= 1) {
-    sim::ThreadCpuTimer timer;
-    const ParseStats stats = parseAll(text, out);
-    if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
-    return stats;
-  }
-
-  const std::vector<std::string_view> parts = sliceRecords(text, delimiter(), slices);
-  std::vector<geom::GeometryBatch> batches(parts.size());
-  std::vector<ParseStats> partStats(parts.size());
-  const util::PoolTiming pt = pool.runOnWorkers(
-      [&](int w) { partStats[static_cast<std::size_t>(w)] = parseAll(parts[static_cast<std::size_t>(w)], batches[static_cast<std::size_t>(w)]); });
-  if (const obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && octx.clock != nullptr) {
-    obs::traceWorkerSpans("parse", octx.clock->now(), pt.perWorker);
-  }
-
-  // Splice back in slice order — the only serial step, charged on the
-  // critical path. Slice 0 into an empty `out` adopts the arenas (no copy).
-  sim::ThreadCpuTimer mergeTimer;
-  ParseStats stats;
-  for (std::size_t k = 0; k < parts.size(); ++k) {
-    out.splice(std::move(batches[k]));
-    stats.records += partStats[k].records;
-    stats.badRecords += partStats[k].badRecords;
-    stats.bytes += partStats[k].bytes;
-  }
-  const double merge = mergeTimer.elapsed();
-  if (timing != nullptr) {
-    timing->cpuSum = pt.cpuSum + merge;
-    timing->critical = pt.cpuMax + merge;
-  }
-  return stats;
 }
 
 bool Parser::parseRecordInto(std::string_view record, geom::GeometryBatch& out) const {

@@ -8,16 +8,16 @@
 // Geometry::userData) and CSV point data (lon,lat[,attrs] — the New York
 // Taxi style the paper cites). Users plug in their own Parser for other
 // text formats (OSM XML, GeoJSON lines, ...), which is exactly the
-// extension point the paper describes.
+// extension point the paper describes: wrapped in a TextFormatReader
+// (core/format.hpp), a parser's delimiter() decides where its records
+// end for partitioned reads and parallel parse alike.
 
 #include <cstdint>
 #include <functional>
 #include <string_view>
-#include <vector>
 
 #include "geom/geometry.hpp"
 #include "geom/geometry_batch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mvio::core {
 
@@ -28,22 +28,14 @@ struct ParseStats {
   std::uint64_t bytes = 0;       ///< input bytes consumed
 };
 
-/// CPU accounting of one parseAllParallel call. `critical` is the time a
-/// rank with a real `slices`-wide pool would block for — the slowest
-/// worker plus the serial splice-back — and is what the framework charges
-/// to the rank clock; `cpuSum` is the total CPU all workers burned.
+/// CPU accounting of one FormatReader::parseChunk call. `critical` is the
+/// time a rank with a real pool would block for — the slowest worker plus
+/// the serial splice-back — and is what the framework charges to the rank
+/// clock; `cpuSum` is the total CPU all workers burned.
 struct ParseTiming {
   double cpuSum = 0;
   double critical = 0;
 };
-
-/// Cut `text` into at most `slices` contiguous ranges that tile it
-/// exactly, moving each interior cut forward to one past the next
-/// `delim` so no record straddles a slice: a record crossing a raw cut
-/// point belongs wholly to the slice where it starts. Trailing slices
-/// may be empty (short texts); concatenating the result in order always
-/// reproduces `text` byte for byte. Exposed for the slice-boundary tests.
-std::vector<std::string_view> sliceRecords(std::string_view text, char delim, int slices);
 
 class Parser {
  public:
@@ -60,7 +52,8 @@ class Parser {
   /// parsers override it with allocation-free direct-to-arena writes.
   [[nodiscard]] virtual bool parseRecordInto(std::string_view record, geom::GeometryBatch& out) const;
 
-  /// Record delimiter in the file (newline for all shipped formats).
+  /// Record delimiter in the file (newline for all shipped formats). The
+  /// one byte TextFormatReader cuts blocks and parse slices at.
   [[nodiscard]] virtual char delimiter() const { return '\n'; }
 
   /// Split `text` on the delimiter and parse every record, invoking `sink`
@@ -72,18 +65,6 @@ class Parser {
   /// record into `out` via parseRecordInto(). This is the pipeline's hot
   /// path — no per-record Geometry objects are created.
   ParseStats parseAll(std::string_view text, geom::GeometryBatch& out) const;
-
-  /// Parallel bulk parse (DESIGN.md §10): sliceRecords() cuts `text` at
-  /// record boundaries, each pool worker parses its slice into a private
-  /// arena-backed batch, and the slice batches splice back into `out` in
-  /// slice order — records, arena bytes, and the summed ParseStats are
-  /// identical to the serial parseAll. The caller's clock is NOT charged;
-  /// `timing` (optional) reports the region's critical path and total CPU
-  /// for the caller to charge. Thread-safe per the Parser contract:
-  /// parseRecordInto must be const and touch no shared mutable state
-  /// (true of the shipped parsers).
-  ParseStats parseAllParallel(std::string_view text, geom::GeometryBatch& out,
-                              util::ThreadPool& pool, ParseTiming* timing = nullptr) const;
 };
 
 /// WKT records: "<wkt>" or "<wkt>\t<attributes...>". Attributes are stored

@@ -706,6 +706,7 @@ void Runtime::run(int nprocs, const sim::MachineModel& machine, const std::funct
                  std::to_string(machine.totalRanks()) + " slots");
   MVIO_CHECK(fn != nullptr, "rank function required");
 
+  sim::beginTimeline();  // fresh rank clocks: storage queues from earlier runs no longer apply
   detail::RuntimeState rt;
   rt.machine = machine;
   rt.nprocs = nprocs;

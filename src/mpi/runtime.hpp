@@ -127,7 +127,9 @@ class Comm {
 class Runtime {
  public:
   /// Run `fn` on `nprocs` rank threads over the given machine model.
-  /// Propagates the first rank exception after all threads join.
+  /// Propagates the first rank exception after all threads join. Each run
+  /// starts a new sim timeline, so storage-model queue state left by an
+  /// earlier run on the same Volume never delays this one.
   static void run(int nprocs, const sim::MachineModel& machine, const std::function<void(Comm&)>& fn);
 
   /// Single-node testbed convenience for unit tests.

@@ -14,13 +14,6 @@ GpfsModel::GpfsModel(const GpfsParams& params) : params_(params) {
   clients_.assign(static_cast<std::size_t>(params_.nodes), QueueStation{});
 }
 
-void GpfsModel::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& s : servers_) s.reset();
-  for (auto& c : clients_) c.reset();
-  backbone_.reset();
-}
-
 double GpfsModel::read(int node, const StripeSettings& /*stripe*/, std::uint64_t offset,
                        std::uint64_t bytes, double start) {
   MVIO_CHECK(node >= 0 && node < params_.nodes, "node id out of model range");

@@ -39,7 +39,6 @@ class GpfsModel final : public StorageModel {
 
   [[nodiscard]] int serverCount() const override { return params_.nsdServers; }
   [[nodiscard]] bool supportsStriping() const override { return false; }
-  void reset() override;
 
   [[nodiscard]] const GpfsParams& params() const { return params_; }
 

@@ -13,13 +13,6 @@ LustreModel::LustreModel(const LustreParams& params) : params_(params) {
   clients_.assign(static_cast<std::size_t>(params_.nodes), QueueStation{});
 }
 
-void LustreModel::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& o : osts_) o.reset();
-  for (auto& c : clients_) c.reset();
-  backbone_.reset();
-}
-
 double LustreModel::read(int node, const StripeSettings& stripe, std::uint64_t offset,
                          std::uint64_t bytes, double start) {
   MVIO_CHECK(node >= 0 && node < params_.nodes, "node id out of model range");

@@ -46,7 +46,6 @@ class LustreModel final : public StorageModel {
 
   [[nodiscard]] int serverCount() const override { return params_.osts; }
   [[nodiscard]] bool supportsStriping() const override { return true; }
-  void reset() override;
 
   [[nodiscard]] const LustreParams& params() const { return params_; }
 

@@ -2,6 +2,7 @@
 #include <limits>
 
 #include "pfs/storage_model.hpp"
+#include "sim/clock.hpp"
 #include "util/error.hpp"
 
 namespace mvio::pfs {
@@ -17,6 +18,10 @@ constexpr std::size_t kMaxIntervals = 128;
 
 double QueueStation::serve(double start, double service) {
   MVIO_CHECK(service >= 0, "negative service time");
+  if (const std::uint64_t now = sim::currentTimeline(); timeline_ != now) {
+    busy_.clear();
+    timeline_ = now;
+  }
   if (service == 0) return start;
 
   double pos = start;
@@ -84,6 +89,7 @@ void QueueStation::compact() {
 }
 
 double QueueStation::backlog(double start) const {
+  if (timeline_ != sim::currentTimeline()) return 0;  // busy_ belongs to an earlier run
   double total = 0;
   for (const auto& iv : busy_) {
     if (iv.end <= start) continue;

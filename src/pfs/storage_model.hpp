@@ -7,7 +7,9 @@
 // compute nodes have a client-side throughput cap; the storage backbone
 // has an aggregate cap. All state updates are atomic under an internal
 // mutex so rank threads can issue requests concurrently. Completion times
-// are virtual seconds on the caller's sim::Clock timeline.
+// are virtual seconds on the caller's sim::Clock timeline; queue state
+// lives for one timeline (one Runtime::run) and resets on first use in
+// the next.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,14 +39,15 @@ class QueueStation {
   /// Committed work scheduled at or after `start` (drives congestion).
   [[nodiscard]] double backlog(double start) const;
 
-  void reset() { busy_.clear(); }
-
  private:
   struct Interval {
     double begin;
     double end;
   };
   std::vector<Interval> busy_;  ///< sorted, disjoint committed intervals
+  /// sim timeline busy_ was committed on; a request from a later one
+  /// (the next Runtime::run) finds the station idle.
+  std::uint64_t timeline_ = 0;
 
   void compact();
 };
@@ -79,9 +82,6 @@ class StorageModel {
   /// Whether users can control striping (true for Lustre, false for GPFS);
   /// drives which MPI-IO hints are honoured.
   [[nodiscard]] virtual bool supportsStriping() const = 0;
-
-  /// Clear all queue state (between benchmark configurations).
-  virtual void reset() = 0;
 };
 
 }  // namespace mvio::pfs

@@ -1,8 +1,12 @@
 #include "sim/clock.hpp"
 
+#include <atomic>
+
 namespace mvio::sim {
 
 namespace {
+
+std::atomic<std::uint64_t> gTimeline{0};
 
 double sampleCpuOnce() {
   timespec ts{};
@@ -46,5 +50,9 @@ double ThreadCpuTimer::granularity() {
   static const double value = measureGranularity();
   return value;
 }
+
+std::uint64_t currentTimeline() { return gTimeline.load(std::memory_order_relaxed); }
+
+void beginTimeline() { gTimeline.fetch_add(1, std::memory_order_relaxed); }
 
 }  // namespace mvio::sim

@@ -10,6 +10,7 @@
 // printed by the benches behave like the paper's "maximum time among all
 // processes for each phase".
 
+#include <cstdint>
 #include <ctime>
 
 namespace mvio::sim {
@@ -35,6 +36,16 @@ class Clock {
  private:
   double now_ = 0.0;
 };
+
+/// Virtual timelines. Every mpi::Runtime::run starts a new one (its rank
+/// clocks restart at 0), and shared state priced in virtual time — the
+/// storage model's queue stations — remembers the timeline it last served
+/// and clears itself on first use in a later one, so a run never queues
+/// behind an earlier run's requests.
+[[nodiscard]] std::uint64_t currentTimeline();
+/// Start a new timeline (called once per Runtime::run, before any rank
+/// thread starts).
+void beginTimeline();
 
 /// Measures CPU seconds consumed by the calling thread. Immune to
 /// oversubscription: 320 rank threads on 2 cores still each observe only

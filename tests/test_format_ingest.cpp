@@ -1,12 +1,13 @@
 // Format-registry + binary ingest coverage (DESIGN.md §12): registry
 // dispatch, length-prefixed WKB record framing, boundary resolution at
 // adversarial chunk cuts (header straddling a block edge, empty and
-// truncated tail records), record-aligned slicing for the parallel
-// decode — and the headline property of the binary fast path: WKT ingest
-// and WKB ingest produce bit-identical join / overlay / index results at
-// every thread count, one-shot and streamed, under both boundary
-// strategies, including an injected failure that replays a WKB-fed chunk
-// log.
+// truncated tail records); per format (wkt, csv, wkb and a ';'-delimited
+// user Parser) the record-aligned slicer, the parallel parse driver and
+// partitioned reads under both strategies — and the headline property of
+// the binary fast path: WKT ingest and WKB ingest produce bit-identical
+// join / overlay / index results at every thread count, one-shot and
+// streamed, under both boundary strategies, including an injected
+// failure that replays a WKB-fed chunk log.
 
 #include <gtest/gtest.h>
 
@@ -59,35 +60,102 @@ std::string fileBytes(mp::Volume& volume, const std::string& name) {
   return bytes;
 }
 
-/// A framed WKB stream over all seven OGC types plus the batch it should
-/// decode to and the exact record-boundary offsets (0 and one past each
-/// record, the last being the stream size).
+/// A corpus in one format, the exact record-boundary offsets (0 and one
+/// past each record, the last being the stream size) and, for the WKB
+/// corpus, the batch it should decode to.
 struct FramedCorpus {
   std::string bytes;
   std::vector<std::uint64_t> bounds;
   mg::GeometryBatch batch;
 };
 
-FramedCorpus mixedCorpus() {
-  const char* wkts[] = {
-      "POINT (3 3)",
-      "LINESTRING (0 0, 10 10, 12 4)",
-      "POLYGON ((1 1, 9 1, 9 9, 1 9, 1 1))",
-      "MULTIPOINT ((1 1), (11 11), (-3 4))",
-      "MULTILINESTRING ((0 0, 4 0), (6 6, 6 14, 14 14))",
-      "MULTIPOLYGON (((0 0, 3 0, 3 3, 0 3, 0 0)), ((10 10, 14 10, 14 14, 10 14, 10 10)))",
-      "GEOMETRYCOLLECTION (POINT (2 8), LINESTRING (8 2, 12 2), "
-      "POLYGON ((4 4, 7 4, 7 7, 4 7, 4 4)))",
-  };
+/// The documented extension point with a non-newline delimiter: a user
+/// Parser whose records end at ';', wrapped in a TextFormatReader.
+class SemicolonWktParser final : public mc::Parser {
+ public:
+  [[nodiscard]] bool parseRecord(std::string_view record, mg::Geometry& out) const override {
+    return wkt_.parseRecord(record, out);
+  }
+  [[nodiscard]] bool parseRecordInto(std::string_view record, mg::GeometryBatch& out) const override {
+    return wkt_.parseRecordInto(record, out);
+  }
+  [[nodiscard]] char delimiter() const override { return ';'; }
+
+ private:
+  mc::WktParser wkt_;
+};
+const SemicolonWktParser kSemicolonParser;
+const mc::TextFormatReader kSemicolonReader(&kSemicolonParser, "semicolon");
+
+/// One format under test.
+struct FormatCase {
+  const char* name;
+  const mc::FormatReader* reader;
+};
+
+std::vector<FormatCase> formatCases() {
+  mc::FormatRegistry& reg = mc::FormatRegistry::instance();
+  return {{"wkt", reg.get("wkt")},
+          {"csv", reg.get("csv")},
+          {"wkb", reg.get("wkb")},
+          {"semicolon", &kSemicolonReader}};
+}
+
+std::string caseName(const ::testing::TestParamInfo<FormatCase>& info) { return info.param.name; }
+void PrintTo(const FormatCase& c, std::ostream* os) { *os << c.name; }
+
+/// Records as {WKT, attributes}; attributes hold no tab, newline or ';'.
+using Recs = std::vector<std::pair<std::string, std::string>>;
+
+/// `recs` written in `fmt`, plus the record boundaries (0 and one past
+/// each record). CSV carries each geometry as its envelope's min corner.
+/// With `terminateLast` false a text format leaves the last record
+/// EOF-terminated (framed WKB records need no terminator).
+FramedCorpus encode(const FormatCase& fmt, const Recs& recs, bool terminateLast = true) {
+  const std::string_view name = fmt.name;
   FramedCorpus c;
   c.bounds.push_back(0);
-  int i = 0;
-  for (const char* w : wkts) {
-    mg::Geometry g = mg::readWkt(w);
-    g.userData = std::string("attr-") + std::to_string(i++);
-    c.batch.append(g, 0);
-    mc::appendWkbRecord(g, g.userData, c.bytes);
+  for (const auto& [wkt, attrs] : recs) {
+    const mg::Geometry g = mg::readWkt(wkt);
+    if (name == "wkb") {
+      mc::appendWkbRecord(g, attrs, c.bytes);
+    } else if (name == "csv") {
+      c.bytes += std::to_string(g.envelope().minX()) + "," + std::to_string(g.envelope().minY()) +
+                 "," + attrs;
+    } else {
+      c.bytes += wkt + "\t" + attrs;
+    }
+    if (name != "wkb" && (terminateLast || c.bounds.size() < recs.size())) {
+      c.bytes += name == "semicolon" ? ';' : '\n';
+    }
     c.bounds.push_back(c.bytes.size());
+  }
+  return c;
+}
+
+/// Records of all seven OGC types with varied attribute lengths.
+Recs mixedRecs() {
+  return {{"POINT (1 2)", "a"},
+          {"LINESTRING (0 0, 9 9)", "bb"},
+          {"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "ccc"},
+          {"MULTIPOINT ((1 1), (11 11), (-3 4))", "d"},
+          {"MULTILINESTRING ((0 0, 4 0), (6 6, 6 14, 14 14))", "eeeeeeee"},
+          {"MULTIPOLYGON (((0 0, 3 0, 3 3, 0 3, 0 0)), ((10 10, 14 10, 14 14, 10 14, 10 10)))", "f"},
+          {"POINT (3 4)", "g"},
+          {"POINT (5 6)", "hh"},
+          {"POINT (7 8)", "i"},
+          {"GEOMETRYCOLLECTION (POINT (2 8), LINESTRING (8 2, 12 2), "
+           "POLYGON ((4 4, 7 4, 7 7, 4 7, 4 4)))",
+           "j"}};
+}
+
+/// mixedRecs() as a framed WKB stream, with the batch it decodes to.
+FramedCorpus mixedCorpus() {
+  FramedCorpus c = encode({"wkb", mc::FormatRegistry::instance().get("wkb")}, mixedRecs());
+  for (const auto& [wkt, attrs] : mixedRecs()) {
+    mg::Geometry g = mg::readWkt(wkt);
+    g.userData = attrs;
+    c.batch.append(g, 0);
   }
   return c;
 }
@@ -110,11 +178,8 @@ TEST(FormatRegistry, BuiltinsAndDispatch) {
         << "missing builtin format " << expected;
   }
 
-  const mc::FormatReader* wkt = reg.get("wkt");
-  EXPECT_EQ(wkt->framing(), mc::Framing::kDelimited);
-  EXPECT_EQ(wkt->delimiter(), '\n');
-  const mc::FormatReader* wkb = reg.get("wkb");
-  EXPECT_EQ(wkb->framing(), mc::Framing::kFramed);
+  EXPECT_EQ(reg.get("wkt")->name(), "wkt");
+  EXPECT_EQ(reg.get("wkb")->name(), "wkb");
 
   EXPECT_EQ(reg.find("no-such-format"), nullptr);
   EXPECT_THROW((void)reg.get("no-such-format"), mu::Error);
@@ -267,49 +332,123 @@ TEST(WkbFormat, RejectsEmptyTruncatedAndGarbageRecords) {
   EXPECT_GE(ps.badRecords, 1u);
 }
 
-// ---- Parallel decode: record-aligned slicing ------------------------------
+// ---- One record-boundary path, every format --------------------------------
 
-TEST(WkbFormat, ParallelDecodeByteIdenticalToSerial) {
-  // A bigger stream so every thread count gets real slices.
-  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 77);
-  spec.space.world = mg::Envelope(0, 0, 20, 20);
-  const std::string stream = mo::generateWkbText(mo::RecordGenerator(spec), 600);
+namespace {
 
-  const mc::WkbFormatReader fmt;
-  mg::GeometryBatch serial;
-  const mc::ParseStats base = fmt.parseChunk(stream, serial, nullptr, nullptr);
-  ASSERT_EQ(base.badRecords, 0u);
-  ASSERT_EQ(base.records, 600u);
-  const std::string want = shardBytes(serial);
-
-  for (const int slices : {1, 2, 3, 4, 7, 16}) {
-    const auto parts = fmt.sliceFramedRecords(stream, slices, kMaxRec);
-    ASSERT_EQ(static_cast<int>(parts.size()), slices);
-    std::string joined;
-    std::size_t offset = 0;
-    for (const std::string_view part : parts) {
-      if (!part.empty()) {
-        const auto at = static_cast<std::size_t>(part.data() - stream.data());
-        EXPECT_EQ(at, offset) << "slices must be contiguous";
-        offset = at + part.size();
-      }
-      joined.append(part);
+/// Every slice must tile the text exactly and start at a record boundary.
+void expectValidSlicing(const FramedCorpus& c, const std::vector<std::string_view>& parts) {
+  std::string joined;
+  std::size_t offset = 0;
+  for (const std::string_view part : parts) {
+    if (!part.empty()) {
+      const auto at = static_cast<std::size_t>(part.data() - c.bytes.data());
+      EXPECT_EQ(at, offset) << "slices must be contiguous";
+      EXPECT_TRUE(std::binary_search(c.bounds.begin(), c.bounds.end(), at))
+          << "a slice must start on a record boundary, not at byte " << at;
+      offset = at + part.size();
     }
-    EXPECT_EQ(joined, stream) << "slices must tile the stream byte for byte";
+    joined.append(part);
   }
+  EXPECT_EQ(joined, c.bytes) << "concatenated slices must reproduce the text byte for byte";
+}
+
+/// Parse-driver input: records of every type, enough bulk records for
+/// every thread count, and bad records for the bad-record attribution
+/// (text formats: also a blank record, a CR before the terminator and no
+/// final terminator; WKB: a garbage run the decoder resyncs past).
+std::string parseTortureText(const FormatCase& fmt) {
+  Recs recs = mixedRecs();
+  for (int i = 0; i < 40; ++i) {
+    recs.emplace_back("POINT (" + std::to_string(i) + " " + std::to_string(2 * i) + ")",
+                      "bulk-" + std::to_string(i));
+  }
+  if (std::string_view(fmt.name) == "wkb") {
+    mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 77);
+    spec.space.world = mg::Envelope(0, 0, 20, 20);
+    return mo::generateWkbText(mo::RecordGenerator(spec), 600) + "\x07garbage-not-a-frame" +
+           encode(fmt, recs).bytes;
+  }
+  const std::string d(1, std::string_view(fmt.name) == "semicolon" ? ';' : '\n');
+  return encode(fmt, Recs(recs.begin(), recs.begin() + 3)).bytes + "not-a-geometry at all" + d +
+         d + encode(fmt, {{"POINT (9 9)", "crlf\r"}}).bytes + "POINT (brokenness" + d +
+         encode(fmt, Recs(recs.begin() + 3, recs.end()), /*terminateLast=*/false).bytes;
+}
+
+class FormatSlicer : public ::testing::TestWithParam<FormatCase> {};
+class FormatParseChunk : public ::testing::TestWithParam<FormatCase> {};
+class FormatBoundaries : public ::testing::TestWithParam<FormatCase> {};
+
+}  // namespace
+
+TEST_P(FormatSlicer, TilesAtRecordBoundaries) {
+  const FormatCase& fmt = GetParam();
+  const FramedCorpus c = encode(fmt, mixedRecs());
+  for (const int slices : {1, 2, 3, 4, 7, 16}) {
+    const auto parts = fmt.reader->slice(c.bytes, slices);
+    ASSERT_EQ(static_cast<int>(parts.size()), slices);
+    expectValidSlicing(c, parts);
+  }
+}
+
+TEST_P(FormatSlicer, RecordStraddlingTheRawCutStaysWhole) {
+  // One long record dominates the middle: every naive byte cut lands
+  // inside it, so the slicer must push the cut past its end and the
+  // record must end up whole in exactly one slice.
+  const FormatCase& fmt = GetParam();
+  const std::string big(600, 'x');
+  const FramedCorpus c =
+      encode(fmt, {{"POINT (1 1)", "small"}, {"POINT (5 5)", big}, {"POINT (2 2)", "small"}});
+  for (const int slices : {2, 3, 8}) {
+    const auto parts = fmt.reader->slice(c.bytes, slices);
+    expectValidSlicing(c, parts);
+    int holders = 0;
+    for (const std::string_view part : parts) {
+      if (part.find(big) != std::string_view::npos) holders += 1;
+    }
+    EXPECT_EQ(holders, 1) << "the straddling record must live whole in one slice";
+  }
+}
+
+TEST_P(FormatSlicer, ShortTextsLeaveTrailingSlicesEmpty) {
+  const FormatCase& fmt = GetParam();
+  const FramedCorpus one = encode(fmt, {{"POINT (1 2)", "a"}});
+  const auto parts = fmt.reader->slice(one.bytes, 8);
+  ASSERT_EQ(parts.size(), 8u);
+  EXPECT_EQ(parts[0], one.bytes);
+  for (std::size_t k = 1; k < parts.size(); ++k) EXPECT_TRUE(parts[k].empty());
+  // No final terminator: the last record still lands in one slice.
+  const FramedCorpus open = encode(fmt, {{"POINT (1 2)", "a"}, {"POINT (3 4)", "b"}}, false);
+  expectValidSlicing(open, fmt.reader->slice(open.bytes, 4));
+}
+
+TEST_P(FormatParseChunk, ByteIdenticalToSerialAtEveryThreadCount) {
+  const FormatCase& fmt = GetParam();
+  const std::string text = parseTortureText(fmt);
+
+  mg::GeometryBatch serial;
+  const mc::ParseStats base = fmt.reader->parseChunk(text, serial, nullptr);
+  ASSERT_GT(base.records, 0u);
+  ASSERT_GT(base.badRecords, 0u) << "the torture text must exercise bad-record attribution";
+  const std::string want = shardBytes(serial);
 
   for (const int threads : {1, 2, 4, 8}) {
     mu::ThreadPool pool(threads);
     mg::GeometryBatch out;
     mc::ParseTiming timing;
-    const mc::ParseStats ps = fmt.parseChunk(stream, out, &pool, &timing);
+    const mc::ParseStats ps = fmt.reader->parseChunk(text, out, &pool, &timing);
     EXPECT_EQ(ps.records, base.records) << "threads=" << threads;
-    EXPECT_EQ(ps.badRecords, base.badRecords) << "threads=" << threads;
+    EXPECT_EQ(ps.badRecords, base.badRecords)
+        << "bad records must be attributed identically at threads=" << threads;
     EXPECT_EQ(ps.bytes, base.bytes) << "threads=" << threads;
-    EXPECT_EQ(shardBytes(out), want) << "threads=" << threads;
+    EXPECT_EQ(shardBytes(out), want) << "parallel parse must splice a byte-identical batch, threads="
+                                     << threads;
     EXPECT_GE(timing.cpuSum + 1e-12, timing.critical);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Formats, FormatSlicer, ::testing::ValuesIn(formatCases()), caseName);
+INSTANTIATE_TEST_SUITE_P(Formats, FormatParseChunk, ::testing::ValuesIn(formatCases()), caseName);
 
 // ---- PartitionReader: framed boundary resolution under MPI ----------------
 
@@ -457,6 +596,78 @@ TEST(PartitionRanges, RangesReproduceEveryChunkAndTileTheFile) {
     }
   }
 }
+
+// ---- Boundary property: every format x strategy x rank count x block ------
+
+TEST_P(FormatBoundaries, PartitionedReadsReproduceTextAndParseEveryRecordOnce) {
+  // The reader alone decides where a record ends, so a format's records
+  // must come through partitioned reads intact whatever cuts the blocks:
+  // each chunk's lastRanges() re-read reproduces its text, and over all
+  // ranks and chunks every record parses exactly once, none torn.
+  const FormatCase& fmt = GetParam();
+  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 79);
+  spec.space.world = mg::Envelope(0, 0, 20, 20);
+  spec.maxVertices = 12;  // every record fits the smallest block below
+  spec.holeProbability = 0;
+  const mo::RecordGenerator gen(spec);
+  Recs recs;
+  std::vector<std::string> want;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    want.push_back("id=" + std::to_string(i));
+    recs.emplace_back(mg::writeWkt(gen.geometry(i), spec.precision), want.back());
+  }
+  std::sort(want.begin(), want.end());
+  const std::string file = encode(fmt, recs).bytes;
+  auto volume = lustreVolume();
+  volume->create("p", std::make_shared<mp::MemoryBackingStore>(file));
+
+  struct Mode {
+    std::uint64_t chunkBytes;  ///< 0 = one-shot
+    std::uint64_t blockSize;   ///< one-shot block size (0 = equal split)
+  };
+  for (const mc::BoundaryStrategy strategy :
+       {mc::BoundaryStrategy::kMessage, mc::BoundaryStrategy::kOverlap}) {
+    for (const Mode mode : {Mode{0, 0}, Mode{0, 2048}, Mode{1536, 0}, Mode{5120, 0}}) {
+      for (const int ranks : {1, 3, 4}) {
+        SCOPED_TRACE(std::string(strategy == mc::BoundaryStrategy::kMessage ? "message" : "overlap") +
+                     " chunk " + std::to_string(mode.chunkBytes) + " block " +
+                     std::to_string(mode.blockSize) + " ranks " + std::to_string(ranks));
+        std::mutex mtx;
+        std::vector<std::string> got;
+        std::uint64_t chunks = 0, mismatched = 0, bad = 0;
+        mm::Runtime::run(ranks, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+          mc::PartitionConfig cfg;
+          cfg.strategy = strategy;
+          cfg.blockSize = mode.blockSize;
+          cfg.maxGeometryBytes = 1536;
+          mi::File in = mi::File::open(comm, *volume, "p");
+          mc::PartitionReader reader(comm, in, cfg, mode.chunkBytes, fmt.reader);
+          mu::ThreadPool pool(2);
+          std::string text;
+          while (reader.next(text)) {
+            std::string again;
+            for (const mc::FileRange& r : reader.lastRanges()) {
+              again.append(file, static_cast<std::size_t>(r.offset), static_cast<std::size_t>(r.length));
+            }
+            mg::GeometryBatch batch;
+            const mc::ParseStats ps = fmt.reader->parseChunk(text, batch, &pool);
+            std::lock_guard<std::mutex> lock(mtx);
+            chunks += 1;
+            if (again != text) mismatched += 1;
+            bad += ps.badRecords;
+            for (std::size_t i = 0; i < batch.size(); ++i) got.emplace_back(batch.userData(i));
+          }
+        });
+        EXPECT_EQ(mismatched, 0u) << "of " << chunks << " chunks";
+        EXPECT_EQ(bad, 0u) << "a partitioned read must never hand the parser a torn record";
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "every record must parse exactly once";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, FormatBoundaries, ::testing::ValuesIn(formatCases()), caseName);
 
 // ---- End-to-end: WKT ingest ≡ WKB ingest ----------------------------------
 

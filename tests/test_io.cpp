@@ -146,6 +146,29 @@ TEST(FileIo, CollectiveReadMatchesIndependent) {
   });
 }
 
+TEST(FileIo, BackToBackRunsOnOneVolumeReportIdenticalReadTimes) {
+  // Storage queues left by one run must not delay the next on the same
+  // Volume. One rank, so host thread order cannot reorder queue slots.
+  auto vol = makeVolume();
+  const std::string content = patternBytes(1 << 16);
+  vol->create("f", std::make_shared<mp::MemoryBackingStore>(content), {1 << 12, 4});
+  auto readTime = [&] {
+    double t = 0;
+    mm::Runtime::run(1, mvio::sim::MachineModel::comet(1), [&](mm::Comm& comm) {
+      auto f = mi::File::open(comm, *vol, "f");
+      std::string buf(content.size(), '\0');
+      const double t0 = comm.clock().now();
+      f.readAtBytes(0, buf.data(), buf.size());
+      f.readAtAllBytes(0, buf.data(), buf.size());
+      t = comm.clock().now() - t0;
+    });
+    return t;
+  };
+  const double first = readTime();
+  EXPECT_GT(first, 0.0);
+  EXPECT_EQ(readTime(), first) << "the second run queued behind the first run's requests";
+}
+
 TEST(FileIo, CollectiveReadWithIdleRanks) {
   auto vol = makeVolume();
   vol->create("f", std::make_shared<mp::MemoryBackingStore>(patternBytes(4096)), {1 << 10, 4});

@@ -20,6 +20,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/spatial_join.hpp"
@@ -474,20 +475,26 @@ mc::JoinConfig fullPipelineConfig(const std::string& ckptDir) {
   return cfg;
 }
 
-}  // namespace
-
-TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
+/// Seeded join layers r.wkt (cemetery polygons) and s.wkt (roads).
+std::shared_ptr<mp::Volume> joinVolume(std::uint64_t seed, std::uint64_t nR, std::uint64_t nS) {
   mp::LustreParams params;
   params.nodes = 8;
   auto volume = std::make_shared<mp::Volume>(std::make_shared<mp::LustreModel>(params));
-  mo::SynthSpec specR = mo::datasetSpec(mo::DatasetId::kCemetery, 61);
+  mo::SynthSpec specR = mo::datasetSpec(mo::DatasetId::kCemetery, seed);
   specR.space.world = mg::Envelope(0, 0, 20, 20);
   volume->create("r.wkt", std::make_shared<mp::MemoryBackingStore>(
-                              mo::generateWktText(mo::RecordGenerator(specR), 1500)));
-  mo::SynthSpec specS = mo::datasetSpec(mo::DatasetId::kRoadNetwork, 62);
+                              mo::generateWktText(mo::RecordGenerator(specR), nR)));
+  mo::SynthSpec specS = mo::datasetSpec(mo::DatasetId::kRoadNetwork, seed + 1);
   specS.space.world = specR.space.world;
   volume->create("s.wkt", std::make_shared<mp::MemoryBackingStore>(
-                              mo::generateWktText(mo::RecordGenerator(specS), 800)));
+                              mo::generateWktText(mo::RecordGenerator(specS), nS)));
+  return volume;
+}
+
+}  // namespace
+
+TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
+  auto volume = joinVolume(61, 1500, 800);
   const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
 
   const std::string tracePath = tempPath("trace_join.json");
@@ -554,6 +561,35 @@ TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
   }
   EXPECT_TRUE(workerSpan) << "worker lanes must carry parse/compute spans";
   std::remove(tracePath.c_str());
+}
+
+TEST(TraceEndToEnd, StreamingCommSpansSumToCommPhase) {
+  // Every exchange round — the streaming termination barrier included —
+  // charges phases.comm and emits one `comm` span over the same clock
+  // interval, so on each rank lane the spans add up to the phase.
+  auto volume = joinVolume(63, 600, 300);
+  const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
+
+  mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    mc::JoinConfig cfg;
+    cfg.framework.gridCells = 36;
+    cfg.framework.stream.chunkBytes = 4 << 10;
+    cfg.framework.stream.memoryBudget = 32 << 10;
+    cfg.framework.stream.overlapRounds = false;
+    ob::Session session(ob::TraceConfig::on(1 << 14), cfg.framework.threadsPerRank);
+    const auto stats = mc::spatialJoin(comm, *volume, {"r.wkt", wkt}, {"s.wkt", wkt}, cfg);
+    const ob::TraceLane& lane = session.tracer()->lane(ob::Tracer::mainLane());
+    ASSERT_EQ(lane.drops(), 0u);
+    double sum = 0;  // begins count negative, ends positive
+    int spans = 0;
+    for (const ob::TraceEvent& ev : lane.snapshot()) {
+      if (std::string_view(ev.name) != "comm") continue;
+      sum += ev.type == ob::EventType::kBegin ? -ev.t : ev.t;
+      spans += ev.type == ob::EventType::kEnd ? 1 : 0;
+    }
+    EXPECT_EQ(static_cast<std::uint64_t>(spans), stats.phases.rounds) << "one comm span per round";
+    EXPECT_NEAR(sum, stats.phases.comm, 1e-9) << "rank " << comm.rank();
+  });
 }
 
 // ---- Run report ----------------------------------------------------------

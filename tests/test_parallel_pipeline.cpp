@@ -1,9 +1,10 @@
 // Hybrid MPI+threads pipeline tests (DESIGN.md §10): the per-rank worker
-// pool itself, the record-boundary slicer behind parallel parse, and the
-// headline property of the whole tentpole — at any threadsPerRank, with
-// or without round overlap, composed with streaming budgets, owned-cell
-// rebalancing, and injected rank failure, every pipeline (join, overlay,
-// index, range query) produces results bit-identical to the serial run.
+// pool itself and the headline property of the whole tentpole — at any
+// threadsPerRank, with or without round overlap, composed with streaming
+// budgets, owned-cell rebalancing, and injected rank failure, every
+// pipeline (join, overlay, index, range query) produces results
+// bit-identical to the serial run. The parallel parse driver and its
+// record-boundary slicer are tested per format in test_format_ingest.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 
 #include "core/indexing.hpp"
 #include "core/overlay.hpp"
-#include "core/parser.hpp"
 #include "core/range_query.hpp"
 #include "core/spatial_join.hpp"
 #include "geom/batch_shard.hpp"
@@ -97,128 +97,6 @@ TEST(ThreadPool, SingleThreadRunsInlineOnCaller) {
     seen = std::this_thread::get_id();
   });
   EXPECT_EQ(seen, caller);
-}
-
-// ---- sliceRecords: record-boundary slicing --------------------------------
-
-namespace {
-
-/// Every slice must tile the text exactly and start at a record boundary.
-void expectValidSlicing(std::string_view text, const std::vector<std::string_view>& parts) {
-  std::string joined;
-  std::size_t offset = 0;
-  for (const std::string_view part : parts) {
-    if (!part.empty()) {
-      const auto at = static_cast<std::size_t>(part.data() - text.data());
-      EXPECT_EQ(at, offset) << "slices must be contiguous";
-      if (at != 0) {
-        EXPECT_EQ(text[at - 1], '\n') << "a slice must start right after a delimiter";
-      }
-      offset = at + part.size();
-    }
-    joined.append(part);
-  }
-  EXPECT_EQ(joined, text) << "concatenated slices must reproduce the text byte for byte";
-}
-
-}  // namespace
-
-TEST(SliceRecords, TilesAtRecordBoundaries) {
-  const std::string text =
-      "POINT (1 2)\nLINESTRING (0 0, 9 9)\nPOLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))\n"
-      "POINT (3 4)\nPOINT (5 6)\nPOINT (7 8)\n";
-  for (const int slices : {1, 2, 3, 4, 7, 16}) {
-    const auto parts = mc::sliceRecords(text, '\n', slices);
-    ASSERT_EQ(static_cast<int>(parts.size()), slices);
-    expectValidSlicing(text, parts);
-  }
-}
-
-TEST(SliceRecords, RecordStraddlingTheRawCutStaysWhole) {
-  // One long record dominates the middle: every naive byte cut lands
-  // inside it, so the slicer must push the cut past its delimiter and the
-  // record must end up whole in exactly one slice.
-  const std::string big(600, 'x');
-  const std::string text = "POINT (1 1)\n" + big + "\nPOINT (2 2)\n";
-  for (const int slices : {2, 3, 8}) {
-    const auto parts = mc::sliceRecords(text, '\n', slices);
-    expectValidSlicing(text, parts);
-    int holders = 0;
-    for (const std::string_view part : parts) {
-      if (part.find(big) != std::string_view::npos) holders += 1;
-    }
-    EXPECT_EQ(holders, 1) << "the straddling record must live whole in one slice";
-  }
-}
-
-TEST(SliceRecords, ShortTextsLeaveTrailingSlicesEmpty) {
-  const std::string text = "POINT (1 2)\n";
-  const auto parts = mc::sliceRecords(text, '\n', 8);
-  ASSERT_EQ(parts.size(), 8u);
-  EXPECT_EQ(parts[0], text);
-  for (std::size_t k = 1; k < parts.size(); ++k) EXPECT_TRUE(parts[k].empty());
-  // No trailing delimiter: the final record still lands in one slice.
-  const auto open = mc::sliceRecords("POINT (1 2)\nPOINT (3 4)", '\n', 4);
-  expectValidSlicing("POINT (1 2)\nPOINT (3 4)", open);
-}
-
-// ---- Parallel parse: byte-identity and stats attribution ------------------
-
-namespace {
-
-/// All seven OGC types plus the parser edge cases the slicer must not
-/// disturb: userData tabs, blank lines, CRLF line ends, malformed records
-/// (including ones positioned to sit near raw cut points), no trailing
-/// newline.
-std::string parserTortureText() {
-  std::string text;
-  text += "POINT (3 3)\tattr-a\n";
-  text += "LINESTRING (0 0, 10 10, 12 4)\n";
-  text += "not-a-geometry at all\n";
-  text += "POLYGON ((1 1, 9 1, 9 9, 1 9, 1 1))\tattr-b\n";
-  text += "\n";
-  text += "MULTIPOINT ((1 1), (11 11), (-3 4))\r\n";
-  text += "MULTILINESTRING ((0 0, 4 0), (6 6, 6 14, 14 14))\n";
-  text += "POINT (brokenness\n";
-  text += "MULTIPOLYGON (((0 0, 3 0, 3 3, 0 3, 0 0)), ((10 10, 14 10, 14 14, 10 14, 10 10)))\n";
-  text += "GEOMETRYCOLLECTION (POINT (2 8), LINESTRING (8 2, 12 2), "
-          "POLYGON ((4 4, 7 4, 7 7, 4 7, 4 4)))\n";
-  for (int i = 0; i < 40; ++i) {
-    text += "POINT (" + std::to_string(i) + " " + std::to_string(2 * i) + ")\tbulk-" +
-            std::to_string(i) + "\n";
-  }
-  text += "POINT (99 99)";  // no trailing newline
-  return text;
-}
-
-}  // namespace
-
-TEST(ParallelParse, ByteIdenticalToSerialAtEveryThreadCount) {
-  const mc::WktParser parser;
-  const std::string text = parserTortureText();
-
-  mg::GeometryBatch serial;
-  const mc::ParseStats base = parser.parseAll(text, serial);
-  ASSERT_GT(base.records, 0u);
-  ASSERT_GT(base.badRecords, 0u) << "the torture text must exercise bad-record attribution";
-  std::string baseBytes;
-  mg::encodeShard(serial, baseBytes);
-
-  for (const int threads : {1, 2, 4, 8}) {
-    mu::ThreadPool pool(threads);
-    mg::GeometryBatch out;
-    mc::ParseTiming timing;
-    const mc::ParseStats ps = parser.parseAllParallel(text, out, pool, &timing);
-    EXPECT_EQ(ps.records, base.records) << "threads=" << threads;
-    EXPECT_EQ(ps.badRecords, base.badRecords)
-        << "bad records must be attributed identically at threads=" << threads;
-    EXPECT_EQ(ps.bytes, base.bytes) << "threads=" << threads;
-    std::string bytes;
-    mg::encodeShard(out, bytes);
-    EXPECT_EQ(bytes, baseBytes) << "parallel parse must splice a byte-identical batch, threads="
-                                << threads;
-    EXPECT_GE(timing.cpuSum + 1e-12, timing.critical);
-  }
 }
 
 // ---- End-to-end bit-identity across the pipelines -------------------------
