@@ -8,20 +8,22 @@
 // Results must be identical on every row.
 //
 // Table 2 — recovery cost vs kill round at a fixed interval: a later
-// kill has more sealed epochs behind it, so fewer rounds replay from the
-// chunk log (re-reading and re-parsing the logged input ranges); a kill
-// right after a seal replays the least. Join results
-// must be identical to the failure-free baseline in every row — the
-// bit-identity the recovery tests assert, priced here.
+// kill has more sealed epochs behind it, so fewer rounds replay. Of a
+// pre-empted round only the dead rank's chunk is re-read from the input
+// and re-parsed — the survivors ship their own staged chunks — so replay
+// is small and `rec bytes` is dominated by restoring the dead rank's
+// sealed epochs: it rises with a later kill while `rec t` falls. Join
+// results must be identical to the failure-free baseline in every row —
+// the bit-identity the recovery tests assert, priced here.
 //
 // Table 3 — elasticity (DESIGN.md §11): the same two-kill schedule
 // under sharded replay alone and sharded replay + checkpoint GC/epoch
-// compaction. Sharding divides the aggregate replay re-reads of the
-// input across the survivors, so the busiest survivor must read fewer
-// recovery bytes than the replayed rounds' logged chunks of all ranks
-// together (what one survivor replaying every log alone would re-read);
-// compaction folds the delta tail into one base and reclaims durable
-// bytes. Pairs must not change.
+// compaction. Each survivor carries itself plus the dead ranks up to the
+// next survivor and re-reads only the dead ranks' chunks, so the busiest
+// survivor must read fewer recovery bytes than the replayed rounds'
+// logged chunks of all ranks together (what one survivor replaying every
+// log alone would re-read); compaction folds the delta tail into one
+// base and reclaims durable bytes. Pairs must not change.
 
 #include <mutex>
 
@@ -176,7 +178,8 @@ int main() {
   std::printf("%s\n", elastic.str().c_str());
   std::printf("note: pairs must be identical on every row of all three tables. Durable\n"
               "checkpoint bytes grow as the epoch interval shrinks; replayed rounds shrink as\n"
-              "the kill point moves past more sealed epochs; sharding divides replay reads\n"
-              "across survivors and compaction reclaims the folded delta history.\n");
+              "the kill point moves past more sealed epochs. Replay re-reads only the dead\n"
+              "ranks' chunks (survivors ship their staged ones), so restore reads dominate\n"
+              "and rec bytes rise with a later kill; compaction reclaims the folded deltas.\n");
   return 0;
 }

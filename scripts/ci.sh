@@ -31,7 +31,8 @@
 # Useful subsets once built: ctest -L recovery (every test that touches
 # recovery/ or injects failures through failSchedule: test_recovery,
 # test_fault_soak, test_format_ingest, test_adaptive_partition, test_obs,
-# test_parallel_pipeline, test_codec_fuzz) / -L mpi / -L threads /
+# test_parallel_pipeline, test_codec_fuzz, and smoke_bench_recovery's
+# replay checks — the subset to run under the asan preset) / -L mpi / -L threads /
 # -L soak / -L obs / -L ingest (partitioned reads, per-format record
 # boundaries and parallel parse: test_partition, test_format_ingest,
 # test_parallel_pipeline, test_wkt_wkb).

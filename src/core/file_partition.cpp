@@ -103,6 +103,9 @@ bool PartitionReader::stepMessage(std::string& out) {
                "increase blockSize or maxGeometryBytes");
     fragment = keep.substr(static_cast<std::size_t>(cut));
     keep = keep.substr(0, static_cast<std::size_t>(cut));
+    MVIO_CHECK(fragment.size() <= cfg_.maxGeometryBytes,
+               "record fragment exceeds the successor's receive buffer: maxGeometryBytes is "
+               "smaller than a record");
   }
 
   const bool willSend = !tailHolder;  // every reader except the EOF-tail holder

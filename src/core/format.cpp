@@ -211,9 +211,10 @@ std::uint64_t TextFormatReader::firstBoundary(std::string_view buf, std::uint64_
   return d == npos ? npos : d + 1;
 }
 
-std::uint64_t TextFormatReader::nextBoundary(std::string_view buf,
-                                             std::uint64_t /*knownBoundary*/, std::uint64_t from,
+std::uint64_t TextFormatReader::nextBoundary(std::string_view buf, std::uint64_t knownBoundary,
+                                             std::uint64_t from,
                                              std::uint64_t /*maxRecordBytes*/) const {
+  if (from == knownBoundary) return knownBoundary;
   const std::uint64_t d = findDelim(buf, std::max<std::uint64_t>(from, 1) - 1, parser_->delimiter());
   return d == npos ? npos : d + 1;
 }

@@ -130,18 +130,6 @@ class BatchStager {
 
   [[nodiscard]] std::size_t pending() const { return slots_.size(); }
 
-  /// Drop every pending chunk without reloading it — the post-recovery
-  /// path re-derives the remaining rounds from the durable chunk log, so
-  /// the staged copies (and their scratch blobs) are dead weight.
-  void discard() {
-    for (const Slot& slot : slots_) {
-      if (slot.spilled) spiller_.store->remove(slot.shard);
-    }
-    slots_.clear();
-    resident_ = 0;
-    spillCursor_ = 0;
-  }
-
  private:
   struct Slot {
     geom::GeometryBatch batch;
@@ -736,6 +724,12 @@ void detectAndRecover(Run& run) {
     ctx.map = &stats.partition;
     ctx.locator = run.locator ? &*run.locator : nullptr;
     ctx.sealCache = &sealCache;
+    if (priorOwner.empty()) {
+      // The pre-empted rounds' own chunks are still staged, parsed.
+      ctx.takeStaged = [&run](int layer, geom::GeometryBatch& out) {
+        return run.stage[layer].pop(out);
+      };
+    }
     obs::traceBegin("recovery");
     recovery::RecoveryOutcome outcome =
         recovery::recoverFromFailure(run.active, run.volume, ctx, run.owned[0],
@@ -817,18 +811,15 @@ FrameworkStats leaveDead(Run& run) {
   return std::move(run.stats);
 }
 
-/// After the rounds: drop what a recovery made redundant, settle the
-/// overlap pipeline and make the stores cell-readable.
+/// After the rounds: settle the overlap pipeline and make the stores
+/// cell-readable.
 void closeRounds(Run& run) {
   FrameworkStats& stats = run.stats;
-  if (run.recovered) {
-    // Every remaining round was re-derived from the chunk log; the
-    // staged copies (and the dead ranks' stale deliveries they would
-    // duplicate) are discarded.
-    run.stage[0].discard();
-    run.stage[1].discard();
-    stats.activeComm = run.active;
-  }
+  // Every staged chunk went out in its round or, after a failure, in the
+  // recovery replay of that round.
+  MVIO_CHECK(run.stage[0].pending() == 0 && run.stage[1].pending() == 0,
+             "staged chunks left over after the exchange rounds");
+  if (run.recovered) stats.activeComm = run.active;
   if (run.overlap) {
     // Prep entries never reached by the round loop (a recovery cut the
     // schedule short) were still real parse CPU; account them as hidden.

@@ -44,7 +44,6 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
                                    core::CellStore* ownedS, core::PhaseBreakdown* phases) {
   MVIO_CHECK(ctx.grid != nullptr && ctx.worldSize >= 2, "recovery: malformed context");
   const int myWorld = survivors.worldRank();
-  const int nSurv = survivors.size();
   // The run's partition map: cells, replay projection and the sealed-map
   // guard all go through it. A context without one is a uniform run.
   const core::PartitionMap uniformFallback =
@@ -52,6 +51,7 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   const core::PartitionMap& map = ctx.map != nullptr ? *ctx.map : uniformFallback;
   const std::size_t cells = static_cast<std::size_t>(map.cellCount());
   const double t0 = survivors.clock().now();
+  const double spillBefore = phases->spill;
   // Decode + re-projection CPU is charged alongside the modelled reads.
   mpi::CpuCharge cpu(survivors);
   const pfs::SpillPricer pricer = pfs::SpillPricer::onVolume(volume, survivors.nodeId());
@@ -183,10 +183,11 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   }
   chargeReads();
 
-  // 4. Replay rounds sealedRound+1..total from the chunk log: re-read
-  // each logged chunk's input ranges and re-parse them. Rounds the
-  // survivors already hold (≤ deliveredRound) re-deliver only orphaned
-  // cells; rounds the failure pre-empted re-deliver everything.
+  // 4. Replay rounds sealedRound+1..total. Rounds the survivors already
+  // hold (≤ deliveredRound) re-deliver only orphaned cells; rounds the
+  // failure pre-empted re-deliver everything. A survivor's own source for
+  // a pre-empted round is its staged chunk, still parsed in memory; every
+  // other source re-reads and re-parses its logged input ranges.
   const std::uint64_t totalRounds = ctx.roundsPerLayer[0] + ctx.roundsPerLayer[1];
   const std::uint64_t delivered = std::max(ctx.deliveredRound, ctx.failRound);
   MVIO_CHECK(ctx.failRound <= totalRounds && delivered <= totalRounds &&
@@ -195,15 +196,23 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   auto keepReplayed = [&](int cell, std::uint64_t round) {
     return round > delivered || orphan[static_cast<std::size_t>(cell)];
   };
+  auto fromStage = [&](int q, std::uint64_t round) {
+    return q == myWorld && round > delivered && ctx.takeStaged;
+  };
   cpu.stop();  // the replay loop charges its CPU per region
 
-  // Source-rank block of this survivor: contiguous ascending blocks, so
-  // the exchange's source-rank-major output order is the ascending source
+  // Source-rank block of this survivor: its own world rank up to the next
+  // survivor's (survivor 0's block starts at 0), i.e. itself plus the dead
+  // ranks between. The blocks are contiguous and ascending, so the
+  // exchange's source-rank-major output order is the ascending source
   // order — the order that keeps FP-sum consumers bit-identical to the
   // failure-free run. A single survivor's block is every source.
-  auto srcSurvivor = [&](int q) {
-    return static_cast<int>((static_cast<std::int64_t>(q) * nSurv) / ctx.worldSize);
-  };
+  const auto self = static_cast<std::size_t>(survivors.rank());
+  MVIO_CHECK(self < ctx.survivorWorld.size() && ctx.survivorWorld[self] == myWorld,
+             "recovery: survivor map does not match the survivor communicator");
+  const int blockBegin = self == 0 ? 0 : ctx.survivorWorld[self];
+  const int blockEnd =
+      self + 1 < ctx.survivorWorld.size() ? ctx.survivorWorld[self + 1] : ctx.worldSize;
   std::vector<std::size_t> worldToSurvivor(static_cast<std::size_t>(ctx.worldSize), SIZE_MAX);
   for (std::size_t s = 0; s < ctx.survivorWorld.size(); ++s) {
     worldToSurvivor[static_cast<std::size_t>(ctx.survivorWorld[s])] = s;
@@ -213,10 +222,13 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
         out.cellOwner[static_cast<std::size_t>(cell)])]);
   };
 
+  // Logs of the block's sources — this survivor's own only when some
+  // round still replays from it (a delivered round in the window C+1..F,
+  // or no staged chunks to take).
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
   if (sealedRound < totalRounds) {
-    for (int q = 0; q < ctx.worldSize; ++q) {
-      if (srcSurvivor(q) != survivors.rank()) continue;
+    for (int q = blockBegin; q < blockEnd; ++q) {
+      if (fromStage(q, sealedRound + 1)) continue;
       logs[static_cast<std::size_t>(q)] = readIngestLog(volume, ctx.checkpoint.dir, q, &bytesRead);
     }
   }
@@ -227,16 +239,20 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
     if (stores[layer] == nullptr) continue;
     MVIO_CHECK(ctx.datasets[layer] != nullptr, "recovery: no input dataset to replay from");
     const core::DatasetHandle& ds = *ctx.datasets[layer];
-    // Each survivor reads + re-projects only its own source block and
-    // ships every kept record to the cell's owner.
+    // Each survivor re-projects only its own source block and ships every
+    // kept record to the cell's owner.
     sim::ThreadCpuTimer localCpu;
     geom::GeometryBatch ship;
-    for (int q = 0; q < ctx.worldSize; ++q) {
-      if (srcSurvivor(q) != survivors.rank()) continue;
-      const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
-      if (chunk >= logged.size()) continue;
+    for (int q = blockBegin; q < blockEnd; ++q) {
       geom::GeometryBatch raw;
-      loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
+      const bool staged = fromStage(q, t);
+      if (staged) {
+        if (!ctx.takeStaged(layer, raw)) continue;  // this rank had no chunk this round
+      } else {
+        const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+        if (chunk >= logged.size()) continue;
+        loadLoggedChunk(volume, ds, logged[chunk], raw, &bytesRead);
+      }
       const geom::GeometryBatch projected =
           core::projectToCells(map, ctx.locator, std::move(raw));
       for (std::size_t i = 0; i < projected.size(); ++i) {
@@ -244,6 +260,7 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
         if (cell == geom::GeometryBatch::kNoCell) continue;
         if (!keepReplayed(cell, t)) continue;
         ship.appendRecordFrom(projected, i, cell);
+        if (!staged) out.stats.replayedRecords += 1;
       }
     }
     survivors.clock().advanceBy(localCpu.elapsed());
@@ -252,13 +269,15 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
         core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
                              map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
     sim::ThreadCpuTimer storeCpu;
-    out.stats.replayedRecords += got.size();
     stores[layer]->add(std::move(got));
     survivors.clock().advanceBy(storeCpu.elapsed());
   }
 
   chargeReads();  // reads accumulated outside the per-round charging
-  phases->recovery += survivors.clock().now() - t0;
+  // Scratch I/O inside recovery (spilled staged chunks reloaded, owned
+  // stores flushed) charged itself to the spill phase; subtract it so
+  // total() counts the time once.
+  phases->recovery += (survivors.clock().now() - t0) - (phases->spill - spillBefore);
   phases->recoveryBytes += bytesRead;
   phases->recoveryRounds += totalRounds - sealedRound;
   return out;

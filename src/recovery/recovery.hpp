@@ -29,17 +29,19 @@
 //     validated against the sealed cell map — the stale-manifest guard)
 //     and keeps exactly the records of orphaned cells it now owns.
 //
-//  4. Replay: rounds E_rounds+1..total are re-derived from the chunk
-//     log. A logged chunk names the input-file ranges its text came
-//     from: replay re-reads them from the layer's input (the
-//     DatasetHandle in the context), checks the text against the logged
-//     checksum, re-parses it with the layer's FormatReader and
-//     re-projects the records. The survivors split the logged chunks by
-//     source rank (contiguous blocks, so concatenating ascending
-//     survivors preserves the source order), each replays only its
-//     block, and one exchangeByCell per round routes the records to their
-//     owners — aggregate replay reads are O(log), not O(survivors·log).
-//     Rounds already delivered (≤ deliveredRound) contribute only
+//  4. Replay: rounds E_rounds+1..total are re-derived. Each survivor
+//     carries a contiguous block of source ranks: itself plus the dead
+//     ranks up to the next survivor (survivor 0's block starts at rank
+//     0). For a round the failure pre-empted, its own source is its
+//     staged chunk, still parsed in memory (RecoveryContext::takeStaged);
+//     every other chunk comes from the chunk log: its logged input-file
+//     ranges are re-read from the layer's input (the DatasetHandle in the
+//     context), checked against the logged checksum and re-parsed with
+//     the layer's FormatReader. So the pre-empted rounds re-read only the
+//     dead ranks' chunks. Every chunk is re-projected, and one
+//     exchangeByCell per round routes the records to their owners; the
+//     ascending blocks keep each cell's records in ascending source
+//     order. Rounds already delivered (≤ deliveredRound) contribute only
 //     orphaned-cell records; rounds the failure pre-empted contribute
 //     everything the survivor owns.
 //
@@ -58,6 +60,7 @@
 // tests/test_fault_soak.cpp).
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/cell_store.hpp"
@@ -94,6 +97,12 @@ struct RecoveryContext {
   const core::PartitionMap* map = nullptr;
   const core::CellLocator* locator = nullptr;  ///< null = arithmetic cell lookup
   SealScanCache* sealCache = nullptr; ///< optional cross-pass seal-scan memo
+  /// Pops this survivor's next staged (parsed, not yet exchanged) chunk of
+  /// `layer` into the batch, in round order; false when none is left.
+  /// Replay takes the survivor's own source of every pre-empted round from
+  /// here instead of re-reading it. Set on the first pass only: cascading
+  /// passes treat every round as delivered, so they never call it.
+  std::function<bool(int layer, geom::GeometryBatch&)> takeStaged;
 };
 
 struct RecoveryOutcome {

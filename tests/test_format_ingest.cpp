@@ -667,6 +667,17 @@ TEST_P(FormatBoundaries, PartitionedReadsReproduceTextAndParseEveryRecordOnce) {
   }
 }
 
+TEST_P(FormatBoundaries, NextBoundaryFromAKnownBoundaryIsThatBoundary) {
+  // "First boundary at offset >= from": when `from` is the known boundary
+  // itself — offset 0 and the end of the stream included — every reader
+  // must answer with it, not with the boundary after it.
+  const FormatCase& fmt = GetParam();
+  const FramedCorpus c = encode(fmt, mixedRecs());
+  for (const std::uint64_t b : c.bounds) {
+    EXPECT_EQ(fmt.reader->nextBoundary(c.bytes, b, b, 1536), b) << "b=" << b;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Formats, FormatBoundaries, ::testing::ValuesIn(formatCases()), caseName);
 
 // ---- End-to-end: WKT ingest ≡ WKB ingest ----------------------------------

@@ -9,6 +9,7 @@
 #include <mutex>
 
 #include "core/file_partition.hpp"
+#include "core/format.hpp"
 #include "core/parser.hpp"
 #include "io/file.hpp"
 #include "mpi/runtime.hpp"
@@ -181,6 +182,37 @@ TEST(Partition, RecordLargerThanBlockFailsLoudly) {
                                   mc::readPartitioned(comm, file, cfg);
                                 }),
                mvio::util::Error);
+}
+
+TEST(Partition, MessageFragmentBeyondMaxGeometryBytesNamesTheBound) {
+  // A 600-byte record starting early in rank 0's 512-byte block: the
+  // block has a boundary, but the dangling fragment past it is longer
+  // than maxGeometryBytes, which sizes the successor's receive buffer.
+  // The sender must refuse it, naming the bound, rather than let the
+  // receive fail on a truncated message.
+  for (const std::string format : {"wkt", "csv"}) {
+    SCOPED_TRACE(format);
+    const std::string small = format == "wkt" ? "POINT (1 1)\ta" : "1,1,a";
+    const std::string head = format == "wkt" ? "POINT (2 2)\t" : "2,2,";
+    const std::string big = head + std::string(600 - head.size(), 'x');
+    auto vol = volumeWith("data", small + "\n" + big + "\n" + small + "\n");
+    const mc::FormatReader* reader = mc::FormatRegistry::instance().get(format);
+    try {
+      mm::Runtime::run(2, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+        auto file = mvio::io::File::open(comm, *vol, "data");
+        mc::PartitionConfig cfg;
+        cfg.strategy = mc::BoundaryStrategy::kMessage;
+        cfg.blockSize = 512;
+        cfg.maxGeometryBytes = 100;
+        mc::PartitionReader partition(comm, file, cfg, 0, reader);
+        std::string text;
+        partition.next(text);
+      });
+      ADD_FAILURE() << "an oversize fragment was accepted";
+    } catch (const mvio::util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("maxGeometryBytes"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Partition, EmptyFileRejected) {

@@ -325,6 +325,9 @@ struct JoinRun {
   std::uint64_t deadRanksSeen = 0;    ///< max RecoveryStats::deadRanks (cumulative)
   std::uint64_t compactionBytes = 0, reclaimedBytes = 0;  ///< summed across ranks
   std::uint64_t migrationPasses = 0;  ///< max across ranks, both layers
+  std::uint64_t replayedRecords = 0;  ///< RecoveryStats::replayedRecords, summed over survivors
+  double spillSeconds = 0;            ///< max PhaseBreakdown::spill across ranks
+  mc::GridSpec grid;                  ///< the run's grid (from a finishing rank)
 };
 
 JoinRun runJoin(RecoveryFixture& fx, const std::function<void(mc::JoinConfig&)>& tweak) {
@@ -345,6 +348,8 @@ JoinRun runJoin(RecoveryFixture& fx, const std::function<void(mc::JoinConfig&)>&
     run.compactionBytes += stats.phases.compactionBytes;
     run.reclaimedBytes += stats.phases.reclaimedBytes;
     run.migrationPasses = std::max(run.migrationPasses, stats.balance.migrationPasses);
+    run.spillSeconds = std::max(run.spillSeconds, stats.phases.spill);
+    if (!stats.recovery.died) run.grid = stats.grid;
     // A rank killed *during* recovery carries both bits: it recovered in
     // an earlier pass, then died. Count it as a death only — recovered
     // tallies the ranks that finished the job.
@@ -353,6 +358,7 @@ JoinRun runJoin(RecoveryFixture& fx, const std::function<void(mc::JoinConfig&)>&
       run.recovered += 1;
       run.globalPairs = stats.globalPairs;
       run.recoveryBytes += stats.phases.recoveryBytes;
+      run.replayedRecords += stats.recovery.replayedRecords;
       run.recoveryRounds = std::max(run.recoveryRounds, stats.phases.recoveryRounds);
       run.epochUsed = stats.recovery.epochUsed;
       run.recoveryPasses = std::max(run.recoveryPasses, stats.recovery.recoveryPasses);
@@ -500,6 +506,162 @@ TEST(FailureRecovery, SingleLayerIndexMatchesAfterKill) {
   }
   EXPECT_EQ(counts[0], counts[1]) << "index query counts must survive the kill";
   EXPECT_GT(counts[0][1], 0u);
+}
+
+// ---- Replay re-reads only what died (DESIGN.md §9 step 4, §11) ----------
+
+namespace {
+
+/// Input store that counts the bytes read from it, so input re-reads can
+/// be told apart from checkpoint-blob reads.
+class CountingStore final : public mp::BackingStore {
+ public:
+  explicit CountingStore(std::string bytes) : inner_(std::move(bytes)) {}
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  void read(std::uint64_t offset, char* dst, std::size_t n) const override {
+    bytesRead_ += n;
+    inner_.read(offset, dst, n);
+  }
+  [[nodiscard]] std::uint64_t bytesRead() const { return bytesRead_.load(); }
+
+ private:
+  mp::MemoryBackingStore inner_;
+  mutable std::atomic<std::uint64_t> bytesRead_{0};
+};
+
+/// One two-layer overlay run on the fixture; returns the raster bytes.
+std::string overlayRaster(RecoveryFixture& fx, const std::string& out,
+                          const std::function<void(mc::FrameworkConfig&)>& tweak) {
+  mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    mc::OverlayConfig cfg;
+    cfg.framework.gridCells = 36;
+    cfg.outputPath = out;
+    tweak(cfg.framework);
+    mc::DatasetHandle r{"r.wkt", fx.wkt};
+    mc::DatasetHandle s{"s.wkt", fx.wkt};
+    mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
+  });
+  return fileBytes(*fx.volume, out);
+}
+
+}  // namespace
+
+TEST(FailureRecovery, ReplayReReadsOnlyTheDeadRanksChunks) {
+  RecoveryFixture fx;
+  std::shared_ptr<CountingStore> inputs[2];
+  const std::string paths[2] = {"r.wkt", "s.wkt"};
+  for (int l = 0; l < 2; ++l) {
+    inputs[l] = std::make_shared<CountingStore>(fileBytes(*fx.volume, paths[l]));
+    fx.volume->createOrReplace(paths[l], inputs[l]);
+  }
+  const auto inputReads = [&] { return inputs[0]->bytesRead() + inputs[1]->bytesRead(); };
+
+  const JoinRun base = runJoin(fx, [](mc::JoinConfig& cfg) {
+    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__rr_base");
+  });
+  const std::uint64_t ingestReads = inputReads();
+  ASSERT_GT(ingestReads, 0u);
+
+  // Rank 1 dies right at the epoch-2 seal (round 4): no orphan window,
+  // so every replayed chunk belongs to a pre-empted round.
+  constexpr std::uint64_t kKill = 4;
+  const std::string dir = "__rr_kill";
+  const JoinRun killed = runJoin(fx, [&](mc::JoinConfig& cfg) {
+    cfg.framework.stream = RecoveryFixture::streamedConfig(2, dir);
+    cfg.framework.failSchedule = {{1, kKill, 0}};
+  });
+  const std::uint64_t reread = inputReads() - 2 * ingestReads;
+  ASSERT_EQ(killed.died, 1);
+  ASSERT_EQ(killed.epochUsed, 2u) << "the kill must land on a seal boundary";
+  EXPECT_EQ(killed.pairs, base.pairs);
+
+  std::size_t roundsR = 0;
+  for (int q = 0; q < 4; ++q) {
+    roundsR = std::max(roundsR, mr::readIngestLog(*fx.volume, dir, q).chunks[0].size());
+  }
+  const mr::IngestLog dead = mr::readIngestLog(*fx.volume, dir, 1);
+  std::uint64_t deadBytes = 0;
+  std::uint64_t deadRecords = 0;  // projected records, as replay counts them
+  const mc::PartitionMap map = mc::PartitionMap::uniform(killed.grid);
+  const mc::CellLocator locator(killed.grid);
+  const mc::DatasetHandle ds[2] = {{"r.wkt", fx.wkt}, {"s.wkt", fx.wkt}};
+  for (int l = 0; l < 2; ++l) {
+    for (std::size_t i = 0; i < dead.chunks[l].size(); ++i) {
+      // Global data round of the chunk: layer R's rounds come first.
+      if ((l == 0 ? 0 : roundsR) + i + 1 <= kKill) continue;
+      deadBytes += dead.chunks[l][i].bytes;
+      mg::GeometryBatch raw;
+      mr::loadLoggedChunk(*fx.volume, ds[l], dead.chunks[l][i], raw);
+      const mg::GeometryBatch projected = mc::projectToCells(map, &locator, std::move(raw));
+      for (std::size_t k = 0; k < projected.size(); ++k) {
+        if (projected.cell(k) != mg::GeometryBatch::kNoCell) deadRecords += 1;
+      }
+    }
+  }
+  ASSERT_GT(deadBytes, 0u);
+  EXPECT_EQ(reread, deadBytes)
+      << "the survivors together must re-read exactly the dead rank's chunks of the pre-empted "
+         "rounds; their own come from their staged chunks";
+  EXPECT_GT(killed.recoveryBytes, reread)
+      << "recovery bytes also count the seal, manifest and chunk-log reads";
+  EXPECT_EQ(killed.replayedRecords, deadRecords)
+      << "replayed records count only records re-parsed from the chunk log";
+}
+
+TEST(FailureRecovery, StagedReplayBitIdenticalForEveryCarrierAndComposition) {
+  RecoveryFixture fx;
+  const JoinRun base = runJoin(fx, [](mc::JoinConfig& cfg) {
+    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__cr_base");
+  });
+  ASSERT_FALSE(base.pairs.empty());
+  const std::string baseRaster = overlayRaster(fx, "cr_base.bin", [](mc::FrameworkConfig& fw) {
+    fw.stream = RecoveryFixture::streamedConfig(2, "__cr_base_ov");
+  });
+
+  struct Case {
+    const char* name;
+    std::vector<mvio::sim::FailureEvent> schedule;
+    std::function<void(mc::FrameworkConfig&)> tweak;
+  };
+  const auto none = [](mc::FrameworkConfig&) {};
+  // Rank 0 dead: the first survivor carries it, and its chunk goes first.
+  // Ranks 1 and 2 dead: survivor 0 carries both. Rank 3 dead: the last
+  // survivor carries it. Kill rounds 3 and 5 leave a one-round orphan
+  // window, round 4 none. Then the staged replay under the worker pool
+  // with round overlap, and under an 8 KiB budget — about one parsed
+  // chunk, so the stager spills and replay reloads through the spiller.
+  const std::vector<Case> cases = {
+      {"rank0", {{0, 4, 0}}, none},
+      {"adjacent", {{1, 5, 0}, {2, 5, 0}}, none},
+      {"last", {{3, 3, 0}}, none},
+      {"threads_overlap", {{2, 5, 0}},
+       [](mc::FrameworkConfig& fw) {
+         fw.threadsPerRank = 4;
+         fw.stream.overlapRounds = true;
+       }},
+      {"stager_spill", {{2, 5, 0}}, [](mc::FrameworkConfig& fw) { fw.stream.memoryBudget = 8 << 10; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto killed = [&](mc::FrameworkConfig& fw, const std::string& dir) {
+      fw.stream = RecoveryFixture::streamedConfig(2, dir);
+      fw.failSchedule = c.schedule;
+      c.tweak(fw);
+    };
+    const std::string dir = std::string("__cr_") + c.name;
+    const JoinRun run = runJoin(fx, [&](mc::JoinConfig& cfg) { killed(cfg.framework, dir); });
+    EXPECT_EQ(run.died, static_cast<int>(c.schedule.size()));
+    EXPECT_EQ(run.recovered, 4 - run.died);
+    EXPECT_EQ(run.pairs, base.pairs);
+    EXPECT_EQ(run.globalPairs, base.globalPairs);
+    if (std::string_view(c.name) == "stager_spill") {
+      EXPECT_GT(run.spillSeconds, 0.0) << "the budget must make the stager spill";
+    }
+    const std::string raster =
+        overlayRaster(fx, std::string("cr_") + c.name + ".bin",
+                      [&](mc::FrameworkConfig& fw) { killed(fw, dir + "_ov"); });
+    EXPECT_EQ(raster, baseRaster) << "coverage raster must be bit-identical to the failure-free run";
+  }
 }
 
 // ---- Cascading failures + compaction + sharded replay (DESIGN.md §11) ----
