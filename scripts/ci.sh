@@ -3,9 +3,11 @@
 # presets — the default RelWithDebInfo build, the ASan+UBSan build, and
 # the TSan build (CMakePresets.json). The sanitizer presets compile with
 # -fno-sanitize-recover=all, so any memory/UB/data-race defect fails the
-# run; the tsan preset's test filter is the `threads` label — the
-# worker-pool and hybrid-pipeline coverage that actually runs multiple
-# threads per rank.
+# run; the tsan preset's test filter is the `threads|ingest` label
+# regex — the worker-pool and hybrid-pipeline coverage that actually
+# runs multiple threads per rank, plus the ingest lane, whose Level-1
+# window reads run two-phase collectives across rank threads that share
+# one storage model.
 #
 # After the preset loop a bounded soak lane re-runs the `soak`-labeled
 # tests (randomized fault schedules, tests/test_fault_soak.cpp) with a
@@ -33,9 +35,10 @@
 # test_fault_soak, test_format_ingest, test_adaptive_partition, test_obs,
 # test_parallel_pipeline, test_codec_fuzz, and smoke_bench_recovery's
 # replay checks — the subset to run under the asan preset) / -L mpi / -L threads /
-# -L soak / -L obs / -L ingest (partitioned reads, per-format record
-# boundaries and parallel parse: test_partition, test_format_ingest,
-# test_parallel_pipeline, test_wkt_wkb).
+# -L soak / -L obs / -L ingest (partitioned reads and their Level-1
+# window collectives, per-format record boundaries and parallel parse:
+# test_partition, test_format_ingest, test_parallel_pipeline,
+# test_wkt_wkb, test_io).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -65,30 +65,32 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
 
   geom::GeometryBatch mine;
 
-  // Classify records. Self-owned ones copy straight into `mine`. For the
-  // single-phase default, the rest stay in the outgoing arenas until they
-  // are packed (zero staging copies). For a multi-phase sliding window
-  // they are re-bucketed into per-phase batches and the source arenas are
-  // dropped immediately, so each phase's memory is released as soon as
-  // its buffer is packed — the peak-memory bound the windowing exists for.
+  // Classify records. Self-owned ones skip serialization. For the
+  // single-phase default, every record stays in the outgoing arenas until
+  // it is packed or kept (zero staging copies). For a multi-phase sliding
+  // window they are re-bucketed into per-phase batches and the source
+  // arenas are dropped immediately, so each phase's memory is released as
+  // soon as its buffer is packed — the peak-memory bound the windowing
+  // exists for.
   const bool multiPhase = phases > 1;
   const int cellsPerPhase = (totalCells + phases - 1) / phases;
   auto phaseOf = [&](int cell) { return std::min(cell / cellsPerPhase, phases - 1); };
 
   std::vector<std::uint32_t> sendIdx;  // single-phase: indices into `outgoing`
+  std::vector<std::uint32_t> selfIdx;  // single-phase: this rank's own records
   std::vector<geom::GeometryBatch> phaseBatches(multiPhase ? static_cast<std::size_t>(phases) : 0);
+  std::vector<geom::GeometryBatch> selfBatches(multiPhase ? static_cast<std::size_t>(phases) : 0);
   for (std::size_t i = 0; i < outgoing.size(); ++i) {
     const int cell = outgoing.cell(i);
     if (cell == geom::GeometryBatch::kNoCell) continue;  // projected to no cell
     MVIO_CHECK(cell >= 0 && cell < totalCells, "cell id out of grid range");
     const int dst = owner(cell);
     MVIO_CHECK(dst >= 0 && dst < p, "cell owner out of communicator range");
-    if (dst == comm.rank()) {
-      mine.appendRecordFrom(outgoing, i, cell);  // no self-serialization round trip
-    } else if (multiPhase) {
-      phaseBatches[static_cast<std::size_t>(phaseOf(cell))].appendRecordFrom(outgoing, i, cell);
+    if (multiPhase) {
+      auto& bucket = dst == comm.rank() ? selfBatches : phaseBatches;
+      bucket[static_cast<std::size_t>(phaseOf(cell))].appendRecordFrom(outgoing, i, cell);
     } else {
-      sendIdx.push_back(static_cast<std::uint32_t>(i));
+      (dst == comm.rank() ? selfIdx : sendIdx).push_back(static_cast<std::uint32_t>(i));
     }
   }
   if (multiPhase) outgoing = geom::GeometryBatch();  // release the source arenas
@@ -190,19 +192,32 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
     comm.alltoallv(sendBuf.data(), sendCounts.data(), sendDispls.data(), recvBuf.data(),
                    recvCounts.data(), recvDispls.data(), mpi::Datatype::char_());
 
+    // Receive buffers are laid out in source-rank order; this rank's own
+    // records take its slot between them, so every cell's records come
+    // out in ascending source order — the order a recovery replay
+    // reproduces (DESIGN.md §11).
     const std::size_t before = mine.size();
-    mine.reserveRecords(expectedRecords);
-    mine.deserializeRecords(std::string_view(recvBuf.data(), recvTotal));
-    MVIO_CHECK(mine.size() - before == expectedRecords,
+    const std::size_t selfCount = multiPhase ? selfBatches[static_cast<std::size_t>(phase)].size()
+                                             : selfIdx.size();
+    const auto selfAt = static_cast<std::size_t>(recvDispls[static_cast<std::size_t>(comm.rank())]);
+    mine.reserveRecords(expectedRecords + selfCount);
+    mine.deserializeRecords(std::string_view(recvBuf.data(), selfAt));
+    if (multiPhase) {
+      mine.splice(std::move(selfBatches[static_cast<std::size_t>(phase)]));
+    } else {
+      for (const std::uint32_t i : selfIdx) mine.appendRecordFrom(outgoing, i, outgoing.cell(i));
+    }
+    mine.deserializeRecords(std::string_view(recvBuf.data() + selfAt, recvTotal - selfAt));
+    MVIO_CHECK(mine.size() - before == expectedRecords + selfCount,
                "round header record count does not match the deserialized stream");
     comm.clock().advanceBy(static_cast<double>(recvTotal) / costs.bytesPerSecond +
-                           static_cast<double>(mine.size() - before) * costs.perGeometrySeconds);
+                           static_cast<double>(expectedRecords) * costs.perGeometrySeconds);
 
     if (stats != nullptr) {
       stats->bytesSent += sendTotal;
       stats->bytesReceived += recvTotal;
       stats->geometriesSent += nRecords;
-      stats->geometriesReceived += mine.size() - before;
+      stats->geometriesReceived += expectedRecords;
       stats->phases += 1;
     }
   }

@@ -170,7 +170,9 @@ geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBat
 /// into ONE reused send buffer at computed displacements — exactly one
 /// copy of payload bytes per phase, no per-destination staging strings —
 /// and deserializes received bytes directly into the result batch.
-/// Returns the records this rank owns (retained + received). Collective.
+/// Returns the records this rank owns (retained + received) in source-rank
+/// order: every cell's records in ascending source rank, each source's in
+/// its `outgoing` order. Collective.
 ///
 /// `lastRound` stamps kRoundLast on the final window phase. One-shot
 /// callers keep the default (their single exchange ends the stream); the

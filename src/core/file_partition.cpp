@@ -28,7 +28,8 @@ int readerCount(std::uint64_t globalOffset, std::uint64_t fileSize, std::uint64_
 }  // namespace
 
 PartitionReader::PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
-                                 std::uint64_t chunkBytes, const FormatReader* format)
+                                 std::uint64_t chunkBytes, const FormatReader* format,
+                                 std::uint64_t memoryBudget)
     : comm_(&comm), file_(&file), cfg_(cfg), fmt_(format), streaming_(chunkBytes > 0) {
   if (fmt_ == nullptr) fmt_ = FormatRegistry::instance().get("wkt");
   fileSize_ = file.size();
@@ -52,10 +53,82 @@ PartitionReader::PartitionReader(mpi::Comm& comm, io::File& file, const Partitio
   iterations_ = (fileSize_ + fileChunkSize - 1) / fileChunkSize;
   result_.iterations = iterations_;
 
+  if (cfg_.collectiveRead && streaming_) {
+    // One stripe per aggregator per collective; the look-ahead stays
+    // within the memory budget and the ROMIO single-operation limit.
+    const std::uint64_t stripeBytes =
+        static_cast<std::uint64_t>(file.aggregatorRanks().size()) * file.stripe().stripeSize;
+    windowIters_ = std::max<std::uint64_t>(1, stripeBytes / fileChunkSize);
+    if (memoryBudget > 0) {
+      windowIters_ = std::min(windowIters_, std::max(blockSize_, memoryBudget) / blockSize_);
+    }
+    windowIters_ = std::min(windowIters_, io::kRomioMaxBytes / blockSize_);
+  }
   if (cfg_.strategy == BoundaryStrategy::kMessage) {
-    buf_.resize(static_cast<std::size_t>(blockSize_));
     recvBuf_.resize(static_cast<std::size_t>(cfg_.maxGeometryBytes));
   }
+}
+
+FileRange PartitionReader::block(std::uint64_t i) const {
+  const std::uint64_t start =
+      (i * static_cast<std::uint64_t>(comm_->size()) + static_cast<std::uint64_t>(comm_->rank())) *
+      blockSize_;
+  return {start, start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0};
+}
+
+FileRange PartitionReader::readRange(std::uint64_t i) const {
+  const FileRange own = block(i);
+  if (cfg_.strategy == BoundaryStrategy::kMessage || own.length == 0) return own;
+  // [start-1, start+myLen+halo): one look-back byte to detect a record
+  // boundary exactly at `start`, plus the halo for the record spilling
+  // over the block end.
+  const std::uint64_t lo = own.offset == 0 ? 0 : own.offset - 1;
+  const std::uint64_t hi = std::min<std::uint64_t>(own.offset + own.length + cfg_.maxGeometryBytes, fileSize_);
+  return {lo, hi - lo};
+}
+
+std::string_view PartitionReader::fetch(const FileRange& range) {
+  const auto len = static_cast<std::size_t>(range.length);
+  if (!cfg_.collectiveRead) {
+    buf_.resize(len);
+    if (len > 0) {
+      const std::size_t got = file_->readAtBytes(range.offset, buf_.data(), len);
+      MVIO_CHECK(got == len, "independent read returned short");
+    }
+    result_.bytesRead += range.length;
+    return {buf_.data(), len};
+  }
+  if (iter_ % windowIters_ == 0) readWindow();
+  if (len == 0) return {};
+  std::size_t pos = 0;
+  for (const io::Run& run : windowRuns_) {
+    if (range.offset >= run.offset && range.offset + range.length <= run.offset + run.length) {
+      return {buf_.data() + pos + (range.offset - run.offset), len};
+    }
+    pos += static_cast<std::size_t>(run.length);
+  }
+  MVIO_CHECK(false, "iteration range outside its window read");
+  return {};
+}
+
+void PartitionReader::readWindow() {
+  const std::uint64_t end = std::min(iter_ + windowIters_, iterations_);
+  windowRuns_.clear();
+  for (std::uint64_t i = iter_; i < end; ++i) {
+    const FileRange r = readRange(i);
+    if (r.length == 0) continue;
+    // Ranges ascend with i; kOverlap halos may overlap their successors'.
+    if (!windowRuns_.empty() && r.offset <= windowRuns_.back().offset + windowRuns_.back().length) {
+      io::Run& back = windowRuns_.back();
+      back.length = std::max(back.length, r.offset + r.length - back.offset);
+    } else {
+      windowRuns_.push_back({r.offset, r.length});
+    }
+  }
+  std::uint64_t bytes = 0;
+  for (const io::Run& run : windowRuns_) bytes += run.length;
+  buf_.resize(static_cast<std::size_t>(bytes));
+  result_.bytesRead += file_->readAtAllRuns(windowRuns_, buf_.data());
 }
 
 bool PartitionReader::stepMessage(std::string& out) {
@@ -63,26 +136,14 @@ bool PartitionReader::stepMessage(std::string& out) {
   const int rank = comm_->rank();
   const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
   const std::uint64_t i = iter_;
-
-  const std::uint64_t globalOffset = i * fileChunkSize;
-  const std::uint64_t start = globalOffset + static_cast<std::uint64_t>(rank) * blockSize_;
-  const std::uint64_t myLen =
-      start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0;
-  const int k = readerCount(globalOffset, fileSize_, blockSize_, nprocs);
+  const FileRange own = block(i);
+  const std::uint64_t start = own.offset;
+  const int k = readerCount(i * fileChunkSize, fileSize_, blockSize_, nprocs);
   const bool lastIteration = (i + 1 == iterations_);
-  const bool reading = myLen > 0;
 
-  // File read (Level 0 or Level 1). Collective calls include non-readers.
-  if (cfg_.collectiveRead) {
-    const std::size_t got = file_->readAtAllBytes(start, buf_.data(), static_cast<std::size_t>(myLen));
-    MVIO_CHECK(got == myLen, "collective read returned short");
-  } else if (reading) {
-    const std::size_t got = file_->readAtBytes(start, buf_.data(), static_cast<std::size_t>(myLen));
-    MVIO_CHECK(got == myLen, "independent read returned short");
-  }
-  result_.bytesRead += myLen;
-
-  if (!reading) {
+  // File read (Level 0 or Level 1). Collective reads include non-readers.
+  std::string_view keep = fetch(own);
+  if (own.length == 0) {
     if (lastIteration) MVIO_CHECK(carry_.empty() || rank != 0, "unconsumed carry fragment");
     return true;
   }
@@ -94,7 +155,6 @@ bool PartitionReader::stepMessage(std::string& out) {
   // reader cuts its block at the last record boundary (Algorithm 1 lines
   // 9-11) and rings the dangling partial record past it to the successor;
   // it is shorter than one record, so maxGeometryBytes sizes recvBuf_.
-  std::string_view keep(buf_.data(), static_cast<std::size_t>(myLen));
   std::string_view fragment;
   if (!tailHolder) {
     const std::int64_t cut = fmt_->splitBoundary(keep, cfg_.maxGeometryBytes);
@@ -158,45 +218,22 @@ bool PartitionReader::stepMessage(std::string& out) {
 }
 
 bool PartitionReader::stepOverlap(std::string& out) {
-  const int nprocs = comm_->size();
-  const int rank = comm_->rank();
-  const std::uint64_t halo = cfg_.maxGeometryBytes;
-  const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
-  const std::uint64_t i = iter_;
+  const FileRange own = block(iter_);
+  const FileRange read = readRange(iter_);
+  const std::string_view view = fetch(read);
+  if (own.length == 0) return true;
 
-  const std::uint64_t globalOffset = i * fileChunkSize;
-  const std::uint64_t start = globalOffset + static_cast<std::uint64_t>(rank) * blockSize_;
-  const std::uint64_t myLen =
-      start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0;
-
-  // Read [start-1, start+myLen+halo): one look-back byte to detect a
-  // record boundary exactly at `start`, plus the halo for the record
-  // spilling over the block end.
-  const std::uint64_t readStart = start == 0 ? 0 : start - 1;
-  const std::uint64_t readEnd =
-      myLen == 0 ? readStart : std::min<std::uint64_t>(start + myLen + halo, fileSize_);
-  const std::uint64_t readLen = readEnd - readStart;
-  buf_.resize(static_cast<std::size_t>(readLen));
-
-  if (cfg_.collectiveRead) {
-    const std::size_t got = file_->readAtAllBytes(readStart, buf_.data(), static_cast<std::size_t>(readLen));
-    MVIO_CHECK(got == readLen, "collective read returned short");
-  } else if (readLen > 0) {
-    const std::size_t got = file_->readAtBytes(readStart, buf_.data(), static_cast<std::size_t>(readLen));
-    MVIO_CHECK(got == readLen, "independent read returned short");
-  }
-  result_.bytesRead += readLen;
-  if (myLen == 0) return true;
-
-  const std::uint64_t blockEnd = start + myLen;  // absolute file offset
-  const std::string_view window(buf_.data(), static_cast<std::size_t>(readLen));
+  const std::uint64_t start = own.offset;
+  const std::uint64_t blockEnd = start + own.length;  // absolute file offset
+  const std::uint64_t readStart = read.offset;
+  const std::uint64_t readEnd = read.offset + read.length;
 
   // First record starting inside [start, blockEnd): the first boundary at
   // an absolute offset >= start (the look-back byte at start-1 belongs to
   // the predecessor).
   std::uint64_t firstStart = 0;  // absolute
   if (start > 0) {
-    const std::uint64_t b = fmt_->firstBoundary(window, start - readStart, cfg_.maxGeometryBytes);
+    const std::uint64_t b = fmt_->firstBoundary(view, start - readStart, cfg_.maxGeometryBytes);
     if (b == FormatReader::npos) return true;  // no record begins in this block
     firstStart = readStart + b;
     if (firstStart >= blockEnd) return true;  // boundary record belongs to successor
@@ -205,7 +242,7 @@ bool PartitionReader::stepOverlap(std::string& out) {
   // End of the record containing byte blockEnd-1: first boundary at an
   // absolute offset >= blockEnd (or EOF for a final unterminated record).
   std::uint64_t keepEndExclusive = fileSize_;  // absolute
-  const std::uint64_t e = fmt_->nextBoundary(window, firstStart - readStart, blockEnd - readStart,
+  const std::uint64_t e = fmt_->nextBoundary(view, firstStart - readStart, blockEnd - readStart,
                                              cfg_.maxGeometryBytes);
   if (e != FormatReader::npos) {
     keepEndExclusive = readStart + e;
@@ -214,7 +251,7 @@ bool PartitionReader::stepOverlap(std::string& out) {
                "record extends past the halo region: maxGeometryBytes is smaller than a record");
   }
 
-  out.append(buf_.data() + (firstStart - readStart),
+  out.append(view.data() + (firstStart - readStart),
              static_cast<std::size_t>(keepEndExclusive - firstStart));
   ranges_.push_back({firstStart, keepEndExclusive - firstStart});
   return true;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/file.hpp"
@@ -76,7 +77,8 @@ struct PartitionResult {
 /// file iterations of nprocs × blockSize bytes; this class exposes that
 /// loop one step at a time, so a rank can read, hand ~chunkBytes of
 /// records to the parser, and release the text before touching the next
-/// chunk — the whole-partition string never exists.
+/// chunk's — or, with Level-1 reads, the next window's — raw bytes: the
+/// whole-partition string never exists.
 ///
 /// With `chunkBytes` == 0 the reader is the one-shot path: a single
 /// next() call yields the rank's entire partition, with the block size
@@ -85,18 +87,30 @@ struct PartitionResult {
 /// largest record, as Algorithm 1 requires) and every next() call yields
 /// one iteration's records.
 ///
+/// Level 0 reads one independent request per iteration. Level 1 reads a
+/// *window* of K iterations in one two-phase collective and cuts each
+/// iteration's bytes out of it: K = max(1, ⌊aggregators × stripeSize /
+/// (nprocs × blockSize)⌋), one stripe per aggregator per collective,
+/// capped so K × blockSize ≤ max(blockSize, memoryBudget) when a budget
+/// is set. The one-shot path and K = 1 read one iteration per collective.
+/// The texts, ranges and ring fragments are the same at every K.
+///
 /// Collective: every rank constructs the reader and calls next() in
-/// lockstep until it returns false. The iteration count derives from the
-/// file size, so all ranks agree on it without communication; trailing
-/// ranks that read no bytes in the last iteration still participate and
-/// simply yield empty text.
+/// lockstep until it returns false. The iteration count and the window
+/// derive from the file size, striping and aggregator count, so all
+/// ranks agree on them without communication; trailing ranks that read
+/// no bytes in the last iteration still participate and simply yield
+/// empty text.
 class PartitionReader {
  public:
   /// `format` (optional, non-owning) supplies record boundary resolution
   /// under both strategies and in streaming chunk rounds alike; null
   /// means the registry's "wkt" reader (newline-terminated records).
+  /// `memoryBudget` (StreamConfig::memoryBudget, 0 = unbounded) caps the
+  /// raw bytes a Level-1 window looks ahead.
   PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
-                  std::uint64_t chunkBytes = 0, const FormatReader* format = nullptr);
+                  std::uint64_t chunkBytes = 0, const FormatReader* format = nullptr,
+                  std::uint64_t memoryBudget = 0);
 
   /// Fill `text` with the next chunk's records (cleared first). Returns
   /// false once the stream is exhausted — on the same call on every rank.
@@ -121,6 +135,18 @@ class PartitionReader {
  private:
   bool stepMessage(std::string& out);
   bool stepOverlap(std::string& out);
+  /// This rank's own block of iteration `i` (length 0 past EOF).
+  [[nodiscard]] FileRange block(std::uint64_t i) const;
+  /// The bytes this rank reads in iteration `i`: its block, plus under
+  /// kOverlap one look-back byte and the halo.
+  [[nodiscard]] FileRange readRange(std::uint64_t i) const;
+  /// The current iteration's readRange bytes: Level 0 reads them now,
+  /// Level 1 cuts them out of the window read (issued at the window's
+  /// first iteration). Valid until the next fetch.
+  std::string_view fetch(const FileRange& range);
+  /// Level 1: read iterations [iter_, iter_ + windowIters_) in one
+  /// collective — the union of their readRanges as ascending runs.
+  void readWindow();
 
   mpi::Comm* comm_;
   io::File* file_;
@@ -131,7 +157,9 @@ class PartitionReader {
   std::uint64_t fileSize_ = 0;
   std::uint64_t iterations_ = 0;
   std::uint64_t iter_ = 0;  ///< next iteration to execute
-  std::vector<char> buf_;
+  std::uint64_t windowIters_ = 1;  ///< K: iterations per Level-1 collective read
+  std::vector<char> buf_;          ///< Level 0: one iteration's bytes; Level 1: the window's
+  std::vector<io::Run> windowRuns_;  ///< Level 1: the window's file runs, in buf_ order
   std::vector<char> recvBuf_;  ///< kMessage: predecessor-fragment landing area
   std::string carry_;          ///< kMessage rank 0: fragment for the next iteration
   std::vector<FileRange> ranges_;  ///< file ranges of the last next() call's text

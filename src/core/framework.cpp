@@ -447,7 +447,8 @@ void ingestLayer(Run& run, int layer) {
   const DatasetHandle& ds = layer == 0 ? run.r : *run.s;
   ParseStats& parseStats = layer == 0 ? run.stats.parseR : run.stats.parseS;
   io::File file = io::File::open(comm, run.volume, ds.path, run.cfg.ioHints);
-  PartitionReader reader(comm, file, ds.partition, run.cfg.stream.chunkBytes, ds.format);
+  PartitionReader reader(comm, file, ds.partition, run.cfg.stream.chunkBytes, ds.format,
+                         run.cfg.stream.memoryBudget);
 
   std::string text;
   while (true) {

@@ -84,8 +84,18 @@ std::size_t File::readAtAllBytes(std::uint64_t offset, void* buf, std::size_t n)
   if (offset < fileSize && n > 0) m = static_cast<std::size_t>(std::min<std::uint64_t>(n, fileSize - offset));
   std::vector<Run> runs;
   if (m > 0) runs.push_back({offset, m});
-  collectiveTransfer(false, runs, static_cast<char*>(buf));
-  return m;
+  return readAtAllRuns(runs, static_cast<char*>(buf));
+}
+
+std::size_t File::readAtAllRuns(const std::vector<Run>& runs, char* buf) {
+  std::uint64_t end = 0, total = 0;
+  for (const Run& r : runs) {
+    MVIO_CHECK(r.offset >= end, "collective read runs must be ascending and disjoint");
+    end = r.offset + r.length;
+    total += r.length;
+  }
+  collectiveTransfer(false, runs, buf);
+  return static_cast<std::size_t>(total);
 }
 
 // ---- Typed access -----------------------------------------------------------

@@ -6,7 +6,10 @@
 // paper benchmarks (Table 1):
 //
 //   Level 0  contiguous + independent  -> readAtBytes / readAt
-//   Level 1  contiguous + collective   -> readAtAllBytes / readAtAll
+//   Level 1  contiguous + collective   -> readAtAllBytes / readAtAll, and
+//            readAtAllRuns for a caller-built list of ascending byte runs
+//            (one two-phase collective for many runs, e.g. a window of a
+//            partitioned reader's block iterations)
 //   Level 3  non-contiguous + collective -> setView + readAtAll
 //   (level 2, non-contiguous + independent, exists too: setView + readAt,
 //    implemented with ROMIO-style data sieving)
@@ -72,7 +75,13 @@ class File {
   /// Returns bytes read (clipped at end of file).
   std::size_t readAtBytes(std::uint64_t offset, void* buf, std::size_t n);
   /// Level 1: collective variant; all ranks must call (possibly with n=0).
+  /// The one-run case of readAtAllRuns.
   std::size_t readAtAllBytes(std::uint64_t offset, void* buf, std::size_t n);
+  /// Level 1 over byte runs: one two-phase collective reads this rank's
+  /// `runs` (ascending, disjoint, inside the file) into `buf`, back to
+  /// back in run order. All ranks must call (possibly with no runs).
+  /// Returns the bytes read (the runs' total length).
+  std::size_t readAtAllRuns(const std::vector<Run>& runs, char* buf);
   /// Independent byte write.
   std::size_t writeAtBytes(std::uint64_t offset, const void* buf, std::size_t n);
 

@@ -3,7 +3,8 @@
 // adversarial chunk cuts (header straddling a block edge, empty and
 // truncated tail records); per format (wkt, csv, wkb and a ';'-delimited
 // user Parser) the record-aligned slicer, the parallel parse driver and
-// partitioned reads under both strategies — and the headline property of
+// partitioned reads under both strategies, Level-1 stripe-window reads
+// against Level 0 — and the headline property of
 // the binary fast path: WKT ingest and WKB ingest produce bit-identical
 // join / overlay / index results at every thread count, one-shot and
 // streamed, under both boundary strategies, including an injected
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -597,6 +599,113 @@ TEST(PartitionRanges, RangesReproduceEveryChunkAndTileTheFile) {
   }
 }
 
+// ---- Level-1 stripe windows: one collective read per window ---------------
+
+namespace {
+
+/// Input store that counts the read requests reaching it.
+class CountingStore final : public mp::BackingStore {
+ public:
+  explicit CountingStore(std::string bytes) : inner_(std::move(bytes)) {}
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  void read(std::uint64_t offset, char* dst, std::size_t n) const override {
+    reads_ += 1;
+    inner_.read(offset, dst, n);
+  }
+  [[nodiscard]] std::uint64_t reads() const { return reads_.load(); }
+
+ private:
+  mp::MemoryBackingStore inner_;
+  mutable std::atomic<std::uint64_t> reads_{0};
+};
+
+/// One streamed chunk as a rank saw it: its text and lastRanges().
+struct StreamedChunk {
+  std::string text;
+  std::vector<mc::FileRange> ranges;
+
+  friend bool operator==(const StreamedChunk&, const StreamedChunk&) = default;
+};
+
+}  // namespace
+
+TEST(PartitionWindow, Level1WindowsCutLevel0ChunksWithOneCollectivePerWindow) {
+  // A streamed Level-1 reader reads a window of K iterations in one
+  // two-phase collective and cuts each iteration's bytes out of it. On a
+  // small-stripe volume a layer spans several windows and a partial last
+  // one. Chunk by chunk, the texts and lastRanges() must equal the
+  // Level-0 reader's, and the input store may see at most one request per
+  // aggregator per window.
+  constexpr std::uint64_t kChunk = 1536;
+  const mp::StripeSettings stripe{8 << 10, 4};
+  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 83);
+  spec.space.world = mg::Envelope(0, 0, 20, 20);
+  spec.maxVertices = 12;  // every record fits one chunk
+  spec.holeProbability = 0;
+  const mo::RecordGenerator gen(spec);
+  auto volume = lustreVolume();
+  // 470 records leave every rank count and K below a partial last window.
+  const std::map<std::string, std::shared_ptr<CountingStore>> inputs = {
+      {"wkt", std::make_shared<CountingStore>(mo::generateWktText(gen, 470))},
+      {"wkb", std::make_shared<CountingStore>(mo::generateWkbText(gen, 470))}};
+  for (const auto& [format, store] : inputs) volume->create("w." + format, store, stripe);
+  // One rank per node, so the aggregator count grows with the ranks.
+  mvio::sim::MachineModel machine = mvio::sim::MachineModel::comet(8);
+  machine.ranksPerNode = 1;
+
+  for (const mc::BoundaryStrategy strategy :
+       {mc::BoundaryStrategy::kMessage, mc::BoundaryStrategy::kOverlap}) {
+    for (const auto& [format, store] : inputs) {
+      for (const int ranks : {1, 3, 4}) {
+        for (const std::uint64_t budget : {std::uint64_t{0}, 2 * kChunk}) {
+          SCOPED_TRACE(format + (strategy == mc::BoundaryStrategy::kMessage ? " message" : " overlap") +
+                       " ranks " + std::to_string(ranks) + " budget " + std::to_string(budget));
+          std::uint64_t iterations = 0, window = 0, aggregators = 0;
+          const auto readAll = [&](bool collective) {
+            std::mutex mtx;
+            std::map<int, std::vector<StreamedChunk>> chunks;
+            mm::Runtime::run(ranks, machine, [&](mm::Comm& comm) {
+              mc::PartitionConfig cfg;
+              cfg.strategy = strategy;
+              cfg.collectiveRead = collective;
+              cfg.maxGeometryBytes = kChunk;
+              mi::File in = mi::File::open(comm, *volume, "w." + format);
+              mc::PartitionReader reader(comm, in, cfg, kChunk,
+                                         mc::FormatRegistry::instance().get(format), budget);
+              std::vector<StreamedChunk> mine;
+              std::string text;
+              while (reader.next(text)) mine.push_back({text, reader.lastRanges()});
+              std::lock_guard<std::mutex> lock(mtx);
+              chunks[comm.rank()] = std::move(mine);
+              iterations = reader.chunkCount();
+              aggregators = in.aggregatorRanks().size();
+              // K: one stripe per aggregator per collective, within the budget.
+              window = std::max<std::uint64_t>(
+                  1, aggregators * stripe.stripeSize / (static_cast<std::uint64_t>(ranks) * kChunk));
+              if (budget > 0) window = std::min(window, budget / kChunk);
+            });
+            return chunks;
+          };
+          const auto level0 = readAll(false);
+          const std::uint64_t before = store->reads();
+          const auto level1 = readAll(true);
+          const std::uint64_t reads = store->reads() - before;
+
+          EXPECT_EQ(level1, level0) << "windowed Level-1 chunks must equal Level-0 chunks";
+          EXPECT_GT(window, 1u);
+          EXPECT_GT(iterations, 2 * window) << "the layer must span several windows";
+          EXPECT_NE(iterations % window, 0u) << "the last window must be partial";
+          // Each window reads something, so at least one request per window.
+          const std::uint64_t windows = (iterations + window - 1) / window;
+          EXPECT_GE(reads, windows) << "K = " << window;
+          EXPECT_LE(reads, windows * aggregators)
+              << iterations << " iterations, K = " << window << ", " << aggregators << " aggregators";
+        }
+      }
+    }
+  }
+}
+
 // ---- Boundary property: every format x strategy x rank count x block ------
 
 TEST_P(FormatBoundaries, PartitionedReadsReproduceTextAndParseEveryRecordOnce) {
@@ -684,35 +793,37 @@ INSTANTIATE_TEST_SUITE_P(Formats, FormatBoundaries, ::testing::ValuesIn(formatCa
 
 namespace {
 
-/// Both encodings of the same two seeded layers on one volume.
+/// Both encodings of the same two seeded layers on one volume, striped
+/// as `stripe` says.
 struct FormatFixture {
   std::shared_ptr<mp::Volume> volume = lustreVolume();
   const mc::FormatReader* wkt = mc::FormatRegistry::instance().get("wkt");
   const mc::FormatReader* wkb = mc::FormatRegistry::instance().get("wkb");
 
-  FormatFixture() {
+  explicit FormatFixture(mp::StripeSettings stripe = {}) {
     mo::SynthSpec specR = mo::datasetSpec(mo::DatasetId::kCemetery, 71);
     specR.space.world = mg::Envelope(0, 0, 20, 20);
     const mo::RecordGenerator genR(specR);
     volume->create("r.wkt",
-                   std::make_shared<mp::MemoryBackingStore>(mo::generateWktText(genR, 1200)));
+                   std::make_shared<mp::MemoryBackingStore>(mo::generateWktText(genR, 1200)), stripe);
     volume->create("r.wkb",
-                   std::make_shared<mp::MemoryBackingStore>(mo::generateWkbText(genR, 1200)));
+                   std::make_shared<mp::MemoryBackingStore>(mo::generateWkbText(genR, 1200)), stripe);
     mo::SynthSpec specS = mo::datasetSpec(mo::DatasetId::kRoadNetwork, 72);
     specS.space.world = specR.space.world;
     const mo::RecordGenerator genS(specS);
     volume->create("s.wkt",
-                   std::make_shared<mp::MemoryBackingStore>(mo::generateWktText(genS, 700)));
+                   std::make_shared<mp::MemoryBackingStore>(mo::generateWktText(genS, 700)), stripe);
     volume->create("s.wkb",
-                   std::make_shared<mp::MemoryBackingStore>(mo::generateWkbText(genS, 700)));
+                   std::make_shared<mp::MemoryBackingStore>(mo::generateWkbText(genS, 700)), stripe);
   }
 
-  [[nodiscard]] mc::DatasetHandle layer(char which, bool binary,
-                                        mc::BoundaryStrategy strategy) const {
+  [[nodiscard]] mc::DatasetHandle layer(char which, bool binary, mc::BoundaryStrategy strategy,
+                                        bool collective = false) const {
     mc::DatasetHandle ds;
     ds.path = std::string(1, which) + (binary ? ".wkb" : ".wkt");
     ds.format = binary ? wkb : wkt;
     ds.partition.strategy = strategy;
+    ds.partition.collectiveRead = collective;
     return ds;
   }
 };
@@ -722,23 +833,31 @@ struct JoinSetup {
   int threads = 1;
   bool streamed = false;
   mc::BoundaryStrategy strategy = mc::BoundaryStrategy::kMessage;
-  std::function<void(mc::JoinConfig&)> tweak;
+  bool collective = false;  ///< Level-1 reads
+  std::function<void(mc::FrameworkConfig&)> tweak;
 };
+
+/// `setup` applied to a four-rank pipeline's framework config and layers.
+mc::FrameworkConfig frameworkConfig(const JoinSetup& setup) {
+  mc::FrameworkConfig fw;
+  fw.gridCells = 36;
+  fw.threadsPerRank = setup.threads;
+  if (setup.streamed) {
+    fw.stream.chunkBytes = 4 << 10;
+    fw.stream.memoryBudget = 32 << 10;
+  }
+  if (setup.tweak) setup.tweak(fw);
+  return fw;
+}
 
 std::vector<mc::JoinPair> runJoin(FormatFixture& fx, const JoinSetup& setup, int* died = nullptr) {
   std::vector<mc::JoinPair> pairs;
   std::mutex mtx;
   mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
     mc::JoinConfig cfg;
-    cfg.framework.gridCells = 36;
-    cfg.framework.threadsPerRank = setup.threads;
-    if (setup.streamed) {
-      cfg.framework.stream.chunkBytes = 4 << 10;
-      cfg.framework.stream.memoryBudget = 32 << 10;
-    }
-    if (setup.tweak) setup.tweak(cfg);
-    const mc::DatasetHandle r = fx.layer('r', setup.binary, setup.strategy);
-    const mc::DatasetHandle s = fx.layer('s', setup.binary, setup.strategy);
+    cfg.framework = frameworkConfig(setup);
+    const mc::DatasetHandle r = fx.layer('r', setup.binary, setup.strategy, setup.collective);
+    const mc::DatasetHandle s = fx.layer('s', setup.binary, setup.strategy, setup.collective);
     std::vector<mc::JoinPair> local;
     const auto stats = mc::spatialJoin(comm, *fx.volume, r, s, cfg, &local);
     std::lock_guard<std::mutex> lock(mtx);
@@ -747,6 +866,19 @@ std::vector<mc::JoinPair> runJoin(FormatFixture& fx, const JoinSetup& setup, int
   });
   std::sort(pairs.begin(), pairs.end());
   return pairs;
+}
+
+/// The two-layer coverage overlay under `setup`; returns the raster bytes.
+std::string runOverlay(FormatFixture& fx, const JoinSetup& setup, const std::string& out) {
+  mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    mc::OverlayConfig cfg;
+    cfg.framework = frameworkConfig(setup);
+    cfg.outputPath = out;
+    const mc::DatasetHandle r = fx.layer('r', setup.binary, setup.strategy, setup.collective);
+    const mc::DatasetHandle s = fx.layer('s', setup.binary, setup.strategy, setup.collective);
+    (void)mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
+  });
+  return fileBytes(*fx.volume, out);
 }
 
 }  // namespace
@@ -794,26 +926,14 @@ TEST(FormatBitIdentity, JoinPairsMatchAcrossFormatsThreadsAndStrategies) {
 TEST(FormatBitIdentity, OverlayRasterBytesMatchAcrossFormats) {
   FormatFixture fx;
   std::array<std::string, 2> rasters;
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool binary = mode == 1;
-    const std::string out = binary ? "cov_wkb.bin" : "cov_wkt.bin";
-    mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
-      mc::OverlayConfig cfg;
-      cfg.framework.gridCells = 36;
-      cfg.outputPath = out;
-      if (binary) {
-        // The binary run also exercises streaming + threads: the raster is
-        // a pure function of the record multiset, so it must not budge.
-        cfg.framework.stream.chunkBytes = 4 << 10;
-        cfg.framework.stream.memoryBudget = 32 << 10;
-        cfg.framework.threadsPerRank = 4;
-      }
-      const mc::DatasetHandle r = fx.layer('r', binary, mc::BoundaryStrategy::kMessage);
-      const mc::DatasetHandle s = fx.layer('s', binary, mc::BoundaryStrategy::kMessage);
-      (void)mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
-    });
-    rasters[static_cast<std::size_t>(mode)] = fileBytes(*fx.volume, out);
-  }
+  rasters[0] = runOverlay(fx, {}, "cov_wkt.bin");
+  // The binary run also exercises streaming + threads: the raster is a
+  // pure function of the record multiset, so it must not budge.
+  JoinSetup binary;
+  binary.binary = true;
+  binary.threads = 4;
+  binary.streamed = true;
+  rasters[1] = runOverlay(fx, binary, "cov_wkb.bin");
   ASSERT_FALSE(rasters[0].empty());
   EXPECT_EQ(rasters[0], rasters[1])
       << "WKB ingest must write a bit-identical coverage raster to WKT ingest";
@@ -875,14 +995,67 @@ TEST(FormatBitIdentity, InjectedFailureReplaysWkbChunkLog) {
   setup.binary = true;
   setup.threads = 4;
   setup.streamed = true;
-  setup.tweak = [](mc::JoinConfig& cfg) {
-    cfg.framework.stream.checkpointEveryRounds = 2;
-    cfg.framework.stream.checkpointDir = "__ck_format";
-    cfg.framework.failSchedule = {{2, 3, 0}};
+  setup.tweak = [](mc::FrameworkConfig& fw) {
+    fw.stream.checkpointEveryRounds = 2;
+    fw.stream.checkpointDir = "__ck_format";
+    fw.failSchedule = {{2, 3, 0}};
   };
   int died = 0;
   const std::vector<mc::JoinPair> recovered = runJoin(fx, setup, &died);
   EXPECT_EQ(died, 1);
   EXPECT_EQ(recovered, base)
       << "a failure replaying the WKB-fed chunk log must not change the join result";
+}
+
+TEST(WindowPipeline, Level1StreamedJoinAndOverlayMatchLevel0UnderKillThreadsAndBudget) {
+  // Streamed Level-1 ingest reads stripe windows of iterations; nothing
+  // downstream may notice. On 64 KiB stripes a 4 KiB-chunk layer spans
+  // several windows (K = 4 on four ranks of one node). Under a kill,
+  // under the worker pool with round overlap, and under a budget that
+  // caps K at two chunks, the join pairs and overlay rasters of Level-1
+  // runs must be bit-identical to the Level-0 streamed run and to the
+  // failure-free run.
+  FormatFixture fx({64 << 10, 4});
+  for (const char* path : {"r.wkt", "s.wkt"}) {
+    ASSERT_GT(fx.volume->lookup(path)->data->size(), 64u << 10) << path << " must span several windows";
+  }
+  JoinSetup streamed;
+  streamed.streamed = true;
+  const std::vector<mc::JoinPair> basePairs = runJoin(fx, streamed);
+  const std::string baseRaster = runOverlay(fx, streamed, "win_base.bin");
+  ASSERT_FALSE(basePairs.empty());
+  ASSERT_FALSE(baseRaster.empty());
+
+  struct Case {
+    const char* name;
+    int threads;
+    std::function<void(mc::FrameworkConfig&)> tweak;
+  };
+  const std::vector<Case> cases = {
+      {"plain", 1, nullptr},
+      {"kill", 1,
+       [](mc::FrameworkConfig& fw) {
+         fw.stream.checkpointEveryRounds = 2;
+         fw.failSchedule = {{2, 3, 0}};
+       }},
+      {"threads_overlap", 4, [](mc::FrameworkConfig& fw) { fw.stream.overlapRounds = true; }},
+      {"budget_caps_window", 1, [](mc::FrameworkConfig& fw) { fw.stream.memoryBudget = 8 << 10; }},
+  };
+  for (const Case& c : cases) {
+    for (const bool collective : {false, true}) {
+      const std::string name = std::string(c.name) + (collective ? "_l1" : "_l0");
+      SCOPED_TRACE(name);
+      JoinSetup setup = streamed;
+      setup.threads = c.threads;
+      setup.collective = collective;
+      setup.tweak = [&](mc::FrameworkConfig& fw) {
+        fw.stream.checkpointDir = "__ck_win_" + name;
+        if (c.tweak) c.tweak(fw);
+      };
+      int died = 0;
+      EXPECT_EQ(runJoin(fx, setup, &died), basePairs);
+      EXPECT_EQ(runOverlay(fx, setup, "win_" + name + ".bin"), baseRaster);
+      EXPECT_EQ(died, std::string_view(c.name) == "kill" ? 1 : 0);
+    }
+  }
 }

@@ -169,6 +169,40 @@ TEST(FileIo, BackToBackRunsOnOneVolumeReportIdenticalReadTimes) {
   EXPECT_EQ(readTime(), first) << "the second run queued behind the first run's requests";
 }
 
+TEST(FileIo, CollectiveRunListReadAssemblesRunsInOrder) {
+  // readAtAllRuns: one two-phase collective over each rank's ascending
+  // runs (here every rank's blocks of three strided iterations, as a
+  // partitioned reader's window asks), assembled back to back in run
+  // order; rank 3 asks for nothing and still participates.
+  auto vol = makeVolume();
+  const std::string content = patternBytes(1 << 14);
+  vol->create("f", std::make_shared<mp::MemoryBackingStore>(content), {1 << 10, 4});
+  mm::Runtime::run(4, mvio::sim::MachineModel::comet(4), [&](mm::Comm& comm) {
+    auto f = mi::File::open(comm, *vol, "f");
+    const std::uint64_t block = 700;
+    std::vector<mi::Run> runs;
+    std::string want;
+    if (comm.rank() != 3) {
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        const std::uint64_t off = (i * 4 + static_cast<std::uint64_t>(comm.rank())) * block;
+        runs.push_back({off, block});
+        want += content.substr(off, block);
+      }
+    }
+    std::string got(want.size(), '\0');
+    EXPECT_EQ(f.readAtAllRuns(runs, got.data()), want.size());
+    EXPECT_EQ(got, want);
+  });
+  mm::Runtime::run(1, [&](mm::Comm& comm) {
+    auto f = mi::File::open(comm, *vol, "f");
+    std::string buf(64, '\0');
+    EXPECT_THROW(f.readAtAllRuns({{32, 32}, {0, 32}}, buf.data()), mvio::util::Error)
+        << "runs must ascend";
+    EXPECT_THROW(f.readAtAllRuns({{0, 40}, {32, 24}}, buf.data()), mvio::util::Error)
+        << "runs must not overlap";
+  });
+}
+
 TEST(FileIo, CollectiveReadWithIdleRanks) {
   auto vol = makeVolume();
   vol->create("f", std::make_shared<mp::MemoryBackingStore>(patternBytes(4096)), {1 << 10, 4});

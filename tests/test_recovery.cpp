@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <mutex>
 
 #include "core/indexing.hpp"
@@ -661,6 +662,81 @@ TEST(FailureRecovery, StagedReplayBitIdenticalForEveryCarrierAndComposition) {
         overlayRaster(fx, std::string("cr_") + c.name + ".bin",
                       [&](mc::FrameworkConfig& fw) { killed(fw, dir + "_ov"); });
     EXPECT_EQ(raster, baseRaster) << "coverage raster must be bit-identical to the failure-free run";
+  }
+}
+
+// ---- Replay order: each cell's records in ascending source order --------
+
+namespace {
+
+/// Order-sensitive probe: records each cell's record-key sequence (both
+/// layers' userData, in the order refine sees them). Join pairs, index
+/// contents and sorted-measure sums are blind to a reordering inside a
+/// cell; this fingerprint is not.
+class OrderProbe final : public mc::RefineTask {
+ public:
+  void refineCellBatch(const mc::GridSpec& /*grid*/, int cell, const mg::BatchSpan& r,
+                       const mg::BatchSpan& s) override {
+    std::string& seq = sequences[cell];
+    for (const mg::BatchSpan* span : {&r, &s}) {
+      for (std::size_t k = 0; k < span->size(); ++k) {
+        seq.append(span->userData(k));
+        seq += ',';
+      }
+      seq += '|';
+    }
+  }
+  std::map<int, std::string> sequences;
+};
+
+/// Every live rank's per-cell sequences of one streamed two-layer run
+/// (a cell is refined on one rank only), plus the number of dead ranks.
+std::pair<std::map<int, std::string>, int> cellSequences(
+    RecoveryFixture& fx, const std::string& dir, const std::vector<mvio::sim::FailureEvent>& schedule) {
+  std::map<int, std::string> cells;
+  int died = 0;
+  std::mutex mu;
+  mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    mc::FrameworkConfig fw;
+    fw.gridCells = 36;
+    fw.stream = RecoveryFixture::streamedConfig(2, dir);
+    fw.failSchedule = schedule;
+    const mc::DatasetHandle r{"r.wkt", fx.wkt};
+    const mc::DatasetHandle s{"s.wkt", fx.wkt};
+    OrderProbe probe;
+    const mc::FrameworkStats stats = mc::runFilterRefine(comm, *fx.volume, r, &s, fw, probe);
+    std::lock_guard<std::mutex> lock(mu);
+    if (stats.recovery.died) {
+      died += 1;
+      return;
+    }
+    for (auto& [cell, seq] : probe.sequences) {
+      EXPECT_TRUE(cells.emplace(cell, std::move(seq)).second) << "cell " << cell << " refined twice";
+    }
+  });
+  return {std::move(cells), died};
+}
+
+}  // namespace
+
+TEST(FailureRecovery, ReplayDeliversEachCellsRecordsInFailureFreeOrder) {
+  // DESIGN.md §11: the replay ships each survivor's source block in
+  // ascending source order, so every cell's records reach refine in the
+  // failure-free order — what keeps FP-sum consumers bit-identical.
+  // Rank 0 dead (its records go first, carried by survivor 1), rank 1
+  // dead (survivor 0 carries its own staged chunk, then rank 1's) and
+  // adjacent ranks 1+2 dead (survivor 0 carries three sources).
+  RecoveryFixture fx;
+  const auto base = cellSequences(fx, "__ord_base", {});
+  ASSERT_FALSE(base.first.empty());
+  ASSERT_EQ(base.second, 0);
+  const std::vector<std::pair<const char*, std::vector<mvio::sim::FailureEvent>>> cases = {
+      {"rank0", {{0, 4, 0}}}, {"rank1", {{1, 4, 0}}}, {"adjacent", {{1, 5, 0}, {2, 5, 0}}}};
+  for (const auto& [name, schedule] : cases) {
+    SCOPED_TRACE(name);
+    const auto run = cellSequences(fx, std::string("__ord_") + name, schedule);
+    EXPECT_EQ(run.second, static_cast<int>(schedule.size()));
+    EXPECT_EQ(run.first, base.first) << "a cell's records reached refine in a different order";
   }
 }
 
